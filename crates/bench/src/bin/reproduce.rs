@@ -11,41 +11,90 @@
 
 use catenet_bench::*;
 
+/// Every experiment id `reproduce` accepts as a filter.
+const EXPERIMENTS: &[&str] = &[
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14",
+    "e15", "e16", "e17", "ablations",
+];
+
+const USAGE: &str = "usage: reproduce [EXPERIMENT...] [--fast] [--check] [--full] \
+                     [--soak N] [--shards N]\n\
+                     experiments: e1 … e17, ablations (none = all)";
+
+/// Parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// `--fast`: fewer seeds.
+    fast: bool,
+    /// `--check`: timing-free JSON so CI can run twice and diff (it
+    /// also implies the fast topology set).
+    check: bool,
+    /// `--full`: the e17 scale tier (5,120 gateways, ~10⁵ flows).
+    full: bool,
+    /// `--soak N`: swap the e11 battery table for N randomized runs.
+    soak: Option<usize>,
+    /// `--shards N`: pin e17 to a single shard count (CI runs K=1 and
+    /// K=4 separately and diffs the check-mode JSON across them).
+    shards: Option<usize>,
+    /// Lowercased experiment ids; empty selects every experiment.
+    selected: Vec<String>,
+}
+
+/// Parse the arguments after the program name. Unknown experiment
+/// names and flags are errors, not silently empty runs.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        match arg.as_str() {
+            "--fast" => parsed.fast = true,
+            "--check" => parsed.check = true,
+            "--full" => parsed.full = true,
+            "--soak" | "--shards" => {
+                let value = iter
+                    .next()
+                    .and_then(|v| v.parse::<usize>().ok())
+                    .ok_or_else(|| format!("{arg} needs a count"))?;
+                if arg == "--soak" {
+                    parsed.soak = Some(value);
+                } else {
+                    parsed.shards = Some(value);
+                }
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            name => {
+                let id = name.to_lowercase();
+                if !EXPERIMENTS.contains(&id.as_str()) {
+                    return Err(format!("unknown experiment {name}"));
+                }
+                parsed.selected.push(id);
+            }
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    // `--check` strips wall-clock fields from BENCH_e13.json so CI can
-    // run twice and diff (it also implies the fast topology set).
-    let check = args.iter().any(|a| a == "--check");
+    let Args {
+        fast,
+        check,
+        full,
+        soak,
+        shards,
+        selected,
+    } = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(err) => {
+            eprintln!("reproduce: {err}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     let seeds: Vec<u64> = if fast {
         SEEDS[..2].to_vec()
     } else {
         SEEDS.to_vec()
     };
-    // `--soak N` swaps the e11 battery table for N randomized runs.
-    let soak: Option<usize> = args
-        .windows(2)
-        .find(|w| w[0] == "--soak")
-        .and_then(|w| w[1].parse().ok());
-    // `--shards N` pins e17 to a single shard count (CI runs K=1 and
-    // K=4 separately and diffs the check-mode JSON across them).
-    let shards: Option<usize> = args
-        .windows(2)
-        .find(|w| w[0] == "--shards")
-        .and_then(|w| w[1].parse().ok());
-    // `--partitioner` switches every e17 K>1 run to the
-    // latency-aware-partitioner arm; CI diffs the check JSON against a
-    // partitioner-off run (partition choice must be byte-neutral).
-    let partitioner = args.iter().any(|a| a == "--partitioner");
-    // `--full` selects the e17 scale tier (5,120 gateways, ~10⁵
-    // flows); CI uploads its timing JSON as an artifact.
-    let full = args.iter().any(|a| a == "--full");
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .filter(|a| a.parse::<usize>().is_err())
-        .map(|a| a.to_lowercase())
-        .collect();
     let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
 
     println!("# catenet experiment reproduction");
@@ -157,17 +206,14 @@ fn main() {
             None if full => vec![1, 4],
             None => e17_parallel::SHARD_COUNTS.to_vec(),
         };
-        eprintln!(
-            "running e17 (sharded parallel execution) at K={counts:?} \
-             tier={tier:?} partitioner={partitioner}..."
-        );
+        eprintln!("running e17 (sharded parallel execution) at K={counts:?} tier={tier:?}...");
         let start = std::time::Instant::now();
-        let results = e17_parallel::run_battery_arms(tier, SEEDS[0], &counts, partitioner);
+        let results = e17_parallel::run_battery(tier, SEEDS[0], &counts);
         eprintln!("  e17 done in {:.1}s", start.elapsed().as_secs_f64());
         println!("{}", e17_parallel::table(&results));
         assert!(
             results.all_equal,
-            "e17: dumps diverged across shard counts/arms — a real ordering bug"
+            "e17: dumps diverged across shard counts — a real ordering bug"
         );
         // The misaligned partitioner demo rides the standard full
         // battery only (the scale and check tiers have their own jobs).
@@ -182,11 +228,48 @@ fn main() {
         std::fs::write("BENCH_e17.json", &json).expect("write BENCH_e17.json");
         eprintln!("  wrote BENCH_e17.json");
     }
-    if want("ablations") || selected.is_empty() {
+    if want("ablations") {
         eprintln!("running ablations A1–A4...");
         println!("{}", ablations::collapse_table(&seeds));
         println!("{}", ablations::count_to_infinity_table());
         println!("{}", ablations::nagle_table(&seeds));
         println!("{}", ablations::quench_table(&seeds));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_and_names_parse() {
+        let args = parse("E17 --check --shards 4 e11 --soak 20 --fast --full").unwrap();
+        assert_eq!(
+            args,
+            Args {
+                fast: true,
+                check: true,
+                full: true,
+                soak: Some(20),
+                shards: Some(4),
+                selected: vec!["e17".into(), "e11".into()],
+            }
+        );
+        assert_eq!(parse("").unwrap(), Args::default(), "no filter selects all");
+    }
+
+    #[test]
+    fn unknown_names_and_flags_are_errors() {
+        assert!(parse("e99").is_err());
+        assert!(parse("e1x").is_err());
+        assert!(parse("e17 --partitioner").is_err());
+        assert!(parse("--shards").is_err(), "a count flag needs its value");
+        assert!(parse("--soak many").is_err());
+        assert!(parse("4").is_err(), "a bare number is not an experiment");
     }
 }

@@ -109,7 +109,7 @@ impl Topology {
 
 /// The defense arm a run prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arm {
+pub enum Defense {
     /// No admission control — the trusting 1988 reference.
     Off,
     /// Cold-boot-armed route guard, no attestation.
@@ -118,13 +118,13 @@ pub enum Arm {
     GuardAttest,
 }
 
-impl Arm {
+impl Defense {
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
-            Arm::Off => "off",
-            Arm::Guard => "guard",
-            Arm::GuardAttest => "guard+attest",
+            Defense::Off => "off",
+            Defense::Guard => "guard",
+            Defense::GuardAttest => "guard+attest",
         }
     }
 }
@@ -167,11 +167,11 @@ impl Attack {
 /// limit would brand honest periodic traffic an attack; and 100
 /// gateways take longer to converge than 5, so the boot learning
 /// window is longer too.
-fn policy_for(topology: Topology, arm: Arm) -> Option<GuardPolicy> {
+fn policy_for(topology: Topology, arm: Defense) -> Option<GuardPolicy> {
     let base = match arm {
-        Arm::Off => return None,
-        Arm::Guard => GuardPolicy::boot_armed(),
-        Arm::GuardAttest => GuardPolicy::attested(),
+        Defense::Off => return None,
+        Defense::Guard => GuardPolicy::boot_armed(),
+        Defense::GuardAttest => GuardPolicy::attested(),
     };
     let (rate_limit, boot_window) = match topology {
         Topology::Ring(_) => (40, Duration::from_secs(30)),
@@ -344,13 +344,13 @@ fn walk(net: &Network, src: NodeId, dst_host: NodeId) -> PairOutcome {
 }
 
 /// Run one topology × arm × attack × seed; returns the measurements.
-pub fn run(topology: Topology, arm: Arm, attack: Attack, seed: u64) -> Blast {
+pub fn run(topology: Topology, arm: Defense, attack: Attack, seed: u64) -> Blast {
     let Built {
         mut net,
         hosts,
         liar,
         victim_gateway_link,
-    } = build(topology, seed, arm == Arm::GuardAttest);
+    } = build(topology, seed, arm == Defense::GuardAttest);
     // Defenses are configuration, so they are armed *before* the first
     // advertisement ever flows — a cold boot, not a retrofit onto a
     // converged network. The boot learning window inside the policy is
@@ -414,14 +414,14 @@ pub fn run(topology: Topology, arm: Arm, attack: Attack, seed: u64) -> Blast {
 /// hijack is priced guard vs guard+attest — against `off` it is simply
 /// the blackhole row with a one-hop-worse lie; and the attested hijack
 /// only means anything under the arm it is designed to survive.
-pub fn combos() -> Vec<(Attack, Arm)> {
+pub fn combos() -> Vec<(Attack, Defense)> {
     vec![
-        (Attack::Blackhole, Arm::Off),
-        (Attack::Blackhole, Arm::Guard),
-        (Attack::Blackhole, Arm::GuardAttest),
-        (Attack::Hijack, Arm::Guard),
-        (Attack::Hijack, Arm::GuardAttest),
-        (Attack::HijackAttested, Arm::GuardAttest),
+        (Attack::Blackhole, Defense::Off),
+        (Attack::Blackhole, Defense::Guard),
+        (Attack::Blackhole, Defense::GuardAttest),
+        (Attack::Hijack, Defense::Guard),
+        (Attack::Hijack, Defense::GuardAttest),
+        (Attack::HijackAttested, Defense::GuardAttest),
     ]
 }
 
@@ -527,8 +527,8 @@ mod tests {
     #[test]
     fn guards_strictly_shrink_the_blackhole_blast_radius_on_rings() {
         for &n in &RING_SIZES {
-            let off = run(Topology::Ring(n), Arm::Off, Attack::Blackhole, 11);
-            let on = run(Topology::Ring(n), Arm::Guard, Attack::Blackhole, 11);
+            let off = run(Topology::Ring(n), Defense::Off, Attack::Blackhole, 11);
+            let on = run(Topology::Ring(n), Defense::Guard, Attack::Blackhole, 11);
             assert!(
                 off.failed_pairs > on.failed_pairs,
                 "ring-{n}: off {}/{} must strictly exceed guard {}/{}",
@@ -553,8 +553,8 @@ mod tests {
         // Ring-5 (liar g0, victim g2): g0's and g4's hosts → 2 pairs.
         // Ring-7 (liar g0, victim g3): g0's, g1's and g6's hosts → 3.
         for (&n, expect_guard) in RING_SIZES.iter().zip([2usize, 3]) {
-            let guard = run(Topology::Ring(n), Arm::Guard, Attack::Hijack, 11);
-            let attested = run(Topology::Ring(n), Arm::GuardAttest, Attack::Hijack, 11);
+            let guard = run(Topology::Ring(n), Defense::Guard, Attack::Hijack, 11);
+            let attested = run(Topology::Ring(n), Defense::GuardAttest, Attack::Hijack, 11);
             assert_eq!(
                 guard.failed_pairs, expect_guard,
                 "ring-{n}: wire-legal hijack walks past the plain guard"
@@ -578,11 +578,11 @@ mod tests {
         // exactly as badly as the plain guard against the bare hijack.
         let residual = run(
             Topology::Ring(5),
-            Arm::GuardAttest,
+            Defense::GuardAttest,
             Attack::HijackAttested,
             11,
         );
-        let plain = run(Topology::Ring(5), Arm::Guard, Attack::Hijack, 11);
+        let plain = run(Topology::Ring(5), Defense::Guard, Attack::Hijack, 11);
         assert_eq!(residual.failed_pairs, plain.failed_pairs);
         assert_eq!(
             residual.attest_rejections, 0,
@@ -597,8 +597,8 @@ mod tests {
         // honest neighbor an attacker. An honest run (no compromise
         // planned) must deliver every pair with zero quarantines.
         for &n in &RING_SIZES {
-            for arm in [Arm::Guard, Arm::GuardAttest] {
-                let mut built = build(Topology::Ring(n), 11, arm == Arm::GuardAttest);
+            for arm in [Defense::Guard, Defense::GuardAttest] {
+                let mut built = build(Topology::Ring(n), 11, arm == Defense::GuardAttest);
                 built
                     .net
                     .set_guard_policy(policy_for(Topology::Ring(n), arm).unwrap());
@@ -629,18 +629,18 @@ mod tests {
 
     #[test]
     fn recovery_is_measured_and_settles() {
-        let off = run(Topology::Ring(5), Arm::Off, Attack::Blackhole, 23);
+        let off = run(Topology::Ring(5), Defense::Off, Attack::Blackhole, 23);
         assert_eq!(off.reconvergences.len(), 1, "one compromise, one recovery");
         assert!(off.reconvergences[0].settled, "{:?}", off.reconvergences);
     }
 
     #[test]
     fn blast_measurements_replay_bit_for_bit() {
-        let a = run(Topology::Ring(5), Arm::Off, Attack::Blackhole, 37);
-        let b = run(Topology::Ring(5), Arm::Off, Attack::Blackhole, 37);
+        let a = run(Topology::Ring(5), Defense::Off, Attack::Blackhole, 37);
+        let b = run(Topology::Ring(5), Defense::Off, Attack::Blackhole, 37);
         assert_eq!(a, b);
-        let ga = run(Topology::Ring(5), Arm::GuardAttest, Attack::Hijack, 37);
-        let gb = run(Topology::Ring(5), Arm::GuardAttest, Attack::Hijack, 37);
+        let ga = run(Topology::Ring(5), Defense::GuardAttest, Attack::Hijack, 37);
+        let gb = run(Topology::Ring(5), Defense::GuardAttest, Attack::Hijack, 37);
         assert_eq!(ga, gb);
     }
 
@@ -667,13 +667,13 @@ mod tests {
     #[test]
     #[ignore = "expensive: three full torus runs"]
     fn attestation_strictly_shrinks_the_hijack_blast_radius_on_the_torus() {
-        let guard = run(Topology::WrappedMesh, Arm::Guard, Attack::Hijack, 11);
-        let attested = run(Topology::WrappedMesh, Arm::GuardAttest, Attack::Hijack, 11);
+        let guard = run(Topology::WrappedMesh, Defense::Guard, Attack::Hijack, 11);
+        let attested = run(Topology::WrappedMesh, Defense::GuardAttest, Attack::Hijack, 11);
         // Captures: the liar's own host plus (3,7) and (7,3), which sit
         // strictly closer to the liar at (5,5) than to the victim (0,0).
         assert_eq!(guard.failed_pairs, 3);
         assert_eq!(attested.failed_pairs, 1);
-        let honest = run(Topology::WrappedMesh, Arm::GuardAttest, Attack::Blackhole, 11);
+        let honest = run(Topology::WrappedMesh, Defense::GuardAttest, Attack::Blackhole, 11);
         assert!(
             honest.failed_pairs <= 1,
             "cold-boot-armed attested torus: blackhole dies at the neighbors"

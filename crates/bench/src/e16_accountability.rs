@@ -34,8 +34,9 @@
 //! wall-clock fields are omitted and CI diffs two runs.
 
 use crate::table::Table;
+use catenet_accounting::flow::FlowId;
+use catenet_accounting::table::FlowTable;
 use catenet_core::app::{BulkSender, SinkServer};
-use catenet_core::flow::{FlowId, FlowTable};
 use catenet_core::iface::Framing;
 use catenet_core::{Endpoint, Network, NodeId, TcpConfig};
 use catenet_sim::{Duration, FaultAction, FaultPlan, Instant, LinkClass, LinkParams, Rng, ShardKind};

@@ -20,40 +20,34 @@
 //! The digests must agree across every K — cross-K equivalence — and
 //! the wall-clock ratio against K=1 is the headline speedup.
 //!
-//! **Arms.** Three lookahead/partition arms price the window protocol
-//! itself, on identical topologies with identical bytes:
+//! **Protocol.** One window protocol and one partition rule: lane i
+//! advances to `min over j of (T_j + reach(j→i)) − 1 µs` (the CMB-style
+//! per-lane-pair lookahead matrix), lanes with nothing due are skipped,
+//! and lane boundaries are placed by the latency-aware partitioner
+//! (`catenet_core::partition`), which slides them within a 25 % balance
+//! slack to maximize the cheapest cut link. The window counters in
+//! `ShardStats` (windows, mean span, collapsed, skipped) carry the
+//! protocol's evidence from run to run.
 //!
-//! - `global` — the original protocol: one window bound (minimum
-//!   cross-lane base propagation) anchored at the round's earliest
-//!   instant, every lane dispatched every round. Kept as the baseline.
-//! - `per-pair` — the CMB-style per-lane-pair lookahead matrix: lane i
-//!   advances to `min over j of (T_j + reach(j→i)) − 1 µs`, lanes with
-//!   nothing due are skipped. The default.
-//! - `partitioner` — per-pair plus latency-aware lane boundaries
-//!   (`catenet_core::partition`): boundary positions slide (within 25 %
-//!   balance slack) to maximize the cheapest cut link.
-//!
-//! **Topology discipline.** Lanes are contiguous-by-NodeId, so the
-//! builder interleaves creation — `g₀, src₀, g₁, dst₀, g₂, …` — making
-//! the node sequence periodic in cells of four. On the main ring the
-//! gateway count is a multiple of 16, so every equal-chunk boundary
-//! for K ≤ 8 lands *between* cells: hosts share a lane with their
-//! gateway, every cross-lane link is a T1 trunk, and windows get the
-//! full 30 ms trunk propagation. The **misaligned demo** drops that
-//! builder convention on purpose — a 66-gateway ring at K=8 puts four
-//! equal-chunk boundaries *inside* cells, cutting 100 µs LANs — and
-//! shows the partitioner restoring trunk-only cuts automatically
-//! (window-span counters tell the story; dumps stay byte-identical
-//! throughout, because partition choice is performance-only).
+//! **Topology.** Lanes are contiguous-by-NodeId, and the builder
+//! interleaves creation — `g₀, src₀, g₁, dst₀, g₂, …` — making the node
+//! sequence periodic in cells of four. On the main ring the gateway
+//! count is a multiple of 16, so even equal chunks would land *between*
+//! cells for K ≤ 8, and the partitioner keeps exactly those bounds:
+//! hosts share a lane with their gateway, every cross-lane link is a
+//! T1 trunk, and windows get the full 30 ms trunk propagation. The
+//! **misaligned demo** (a 66-gateway ring at K=8) is a node count where
+//! equal chunks would cut four 100 µs host LANs; the partitioner moves
+//! every boundary onto a trunk, and the window counters show it.
 //!
 //! Results render as tables and `BENCH_e17.json`. In `--check` mode
 //! the JSON carries only K-invariant, seed-deterministic fields
 //! (counts and dump digests — no shard count, no wall clock, no host
-//! cores, no window counters), so CI can run it at K=1 and K=4 and
-//! with the partitioner on and off, twice each, and diff all the
-//! files: run-twice determinism, cross-K equivalence, and partition
-//! neutrality in one byte comparison. The `--full` tier scales the
-//! ring to 5,120 gateways / ~10⁵ flows for the CI timing artifact.
+//! cores, no window counters), so CI can run it at K=1 and K=4, twice
+//! each, and diff all the files: run-twice determinism and cross-K
+//! equivalence (on partitioner-placed boundaries) in one byte
+//! comparison. The `--full` tier scales the ring to 5,120 gateways /
+//! ~10⁵ flows for the CI timing artifact.
 
 use crate::table::Table;
 use catenet_core::app::{CbrSink, CbrSource};
@@ -72,9 +66,9 @@ pub const RING_CHECK: usize = 192;
 pub const RING_HUGE: usize = 5120;
 /// Flows per cell in the `--full` scale tier.
 pub const FLOWS_PER_CELL_HUGE: usize = 40;
-/// Ring size of the misaligned demo: 66 gateways → 132 nodes, so the
-/// K=8 equal chunks land at positions 16, 33, 49, 66, 82, 99, 115 —
-/// four of them odd, i.e. inside a cell, cutting a host LAN.
+/// Ring size of the misaligned demo: 66 gateways → 132 nodes, where
+/// K=8 equal chunks would land at positions 16, 33, 49, 66, 82, 99,
+/// 115 — four of them odd, i.e. inside a cell, cutting a host LAN.
 pub const RING_MISALIGNED: usize = 66;
 /// CBR flows per host-pair cell in the full battery (one cell per two
 /// gateways: 1024 gateways → 512 cells → 10 240 concurrent flows).
@@ -94,28 +88,6 @@ const CBR_SIZE: usize = 160;
 /// Each cell's flows target the dst host two cells ahead: five ring
 /// hops plus two LAN hops, comfortably inside the metric-16 horizon.
 const CELL_SKIP: usize = 2;
-
-/// Which lookahead/partition arm a run uses (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arm {
-    /// The original single-bound protocol, all lanes every round.
-    Global,
-    /// Per-lane-pair lookahead matrix with lane skipping (default).
-    PerPair,
-    /// Per-pair lookahead on latency-aware lane boundaries.
-    Partitioner,
-}
-
-impl Arm {
-    /// Stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Arm::Global => "global",
-            Arm::PerPair => "per-pair",
-            Arm::Partitioner => "partitioner",
-        }
-    }
-}
 
 /// Workload tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,13 +115,11 @@ impl Tier {
 pub struct ShardRun {
     /// Requested shard count K.
     pub shards: usize,
-    /// Lookahead/partition arm.
-    pub arm: Arm,
     /// Lanes actually created (K clamped to the node count).
     pub lanes: usize,
-    /// Events processed (identical across K and arms).
+    /// Events processed (identical across K).
     pub events: u64,
-    /// Datagrams forwarded by gateways (identical across K and arms).
+    /// Datagrams forwarded by gateways (identical across K).
     pub forwarded: u64,
     /// FNV-1a digests of the metrics, series, and flight dumps.
     pub digests: [u64; 3],
@@ -181,10 +151,10 @@ pub struct Battery {
     pub cells: usize,
     /// Concurrent CBR flows (cells × flows-per-cell).
     pub flows: usize,
-    /// One run per requested shard count / arm.
+    /// One run per requested shard count.
     pub runs: Vec<ShardRun>,
     /// Every run produced identical dump digests, event counts, and
-    /// forward counts — the cross-K, cross-arm equivalence bit.
+    /// forward counts — the cross-K equivalence bit.
     pub all_equal: bool,
     /// Cores the host reported (`std::thread::available_parallelism`);
     /// speedup is bounded by this, so CI numbers from a 4-core runner
@@ -207,9 +177,8 @@ pub fn fnv1a(text: &str) -> u64 {
 /// docs for why creation order is load-bearing.
 fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind) -> (Network, Vec<NodeId>) {
     // Even gateway counts keep cells whole; *alignment* of lane
-    // boundaries to cell edges is the main ring's convention (multiple
-    // of 16) and deliberately not enforced here — the misaligned demo
-    // exists to break it and let the partitioner repair it.
+    // boundaries to cell edges is the partitioner's job, not the
+    // builder's (the misaligned demo relies on that).
     assert!(gateways.is_multiple_of(2), "cells need gateway pairs");
     let cells = gateways / 2;
     let mut net = Network::with_shards(seed, shard);
@@ -254,16 +223,15 @@ fn build(gateways: usize, flows_per_cell: usize, seed: u64, shard: ShardKind) ->
     (net, gs)
 }
 
-/// Run one (shard count, arm) over the given workload. K=1 is always
-/// the `Single` reference; `threaded` selects `Parallel` vs `Sharded`
+/// Run one shard count over the given workload. K=1 is always the
+/// `Single` reference; `threaded` selects `Parallel` vs `Sharded`
 /// lanes for K>1 (the misaligned demo runs serial lanes — its windows
-/// are protocol-priced by counters, not thread wall-clock).
-pub fn run_one_arm(
+/// are priced by counters, not thread wall-clock).
+pub fn run_one(
     gateways: usize,
     flows_per_cell: usize,
     seed: u64,
     shards: usize,
-    arm: Arm,
     threaded: bool,
 ) -> ShardRun {
     let shard = if shards == 1 {
@@ -274,18 +242,12 @@ pub fn run_one_arm(
         ShardKind::Sharded { shards }
     };
     let (mut net, gs) = build(gateways, flows_per_cell, seed, shard);
-    match arm {
-        Arm::Global => net.set_global_lookahead(true),
-        Arm::PerPair => {}
-        Arm::Partitioner => net.set_partitioner(true),
-    }
     let t0 = std::time::Instant::now();
     net.run_for(VIRTUAL);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let forwarded = gs.iter().map(|&g| net.node(g).stats.ip_forwarded).sum();
     ShardRun {
         shards,
-        arm,
         lanes: net.lane_count(),
         events: net.sched_stats().processed,
         forwarded,
@@ -299,11 +261,6 @@ pub fn run_one_arm(
     }
 }
 
-/// Run one shard count on the default (per-pair, threaded) arm.
-pub fn run_one(gateways: usize, flows_per_cell: usize, seed: u64, shards: usize) -> ShardRun {
-    run_one_arm(gateways, flows_per_cell, seed, shards, Arm::PerPair, true)
-}
-
 fn check_equal(runs: &[ShardRun]) -> bool {
     runs.windows(2).all(|w| {
         w[0].digests == w[1].digests
@@ -312,41 +269,14 @@ fn check_equal(runs: &[ShardRun]) -> bool {
     })
 }
 
-/// Run the sweep. `tier` sizes the workload; `shard_counts` lets CI
-/// pin a single K (the `--shards N` flag); `partitioner` switches
-/// every K>1 run to the partitioner arm (the CI cross-diff flag). The
-/// `Full` tier additionally appends the K=4 global-baseline and
-/// partitioner arms, so EXPERIMENTS.md carries the protocol A/B on
-/// one topology.
-pub fn run_battery_arms(
-    tier: Tier,
-    seed: u64,
-    shard_counts: &[usize],
-    partitioner: bool,
-) -> Battery {
+/// Run the sweep on threaded lanes. `tier` sizes the workload;
+/// `shard_counts` lets CI pin a single K (the `--shards N` flag).
+pub fn run_battery(tier: Tier, seed: u64, shard_counts: &[usize]) -> Battery {
     let (gateways, flows_per_cell) = tier.shape();
-    let arm_for = |k: usize| {
-        if partitioner && k > 1 {
-            Arm::Partitioner
-        } else {
-            Arm::PerPair
-        }
-    };
-    let mut runs: Vec<ShardRun> = shard_counts
+    let runs: Vec<ShardRun> = shard_counts
         .iter()
-        .map(|&k| run_one_arm(gateways, flows_per_cell, seed, k, arm_for(k), true))
+        .map(|&k| run_one(gateways, flows_per_cell, seed, k, true))
         .collect();
-    if tier == Tier::Full && !partitioner && shard_counts.contains(&4) {
-        runs.push(run_one_arm(gateways, flows_per_cell, seed, 4, Arm::Global, true));
-        runs.push(run_one_arm(
-            gateways,
-            flows_per_cell,
-            seed,
-            4,
-            Arm::Partitioner,
-            true,
-        ));
-    }
     let all_equal = check_equal(&runs);
     Battery {
         gateways,
@@ -358,27 +288,15 @@ pub fn run_battery_arms(
     }
 }
 
-/// Back-compatible entry: `fast` maps to the check tier.
-pub fn run_battery(fast: bool, seed: u64, shard_counts: &[usize]) -> Battery {
-    run_battery_arms(
-        if fast { Tier::Check } else { Tier::Full },
-        seed,
-        shard_counts,
-        false,
-    )
-}
-
-/// The misaligned demo: a 66-gateway ring at K=8, where equal-chunk
-/// lane boundaries cut four host LANs (100 µs windows) and the
-/// partitioner slides them back onto trunks (30 ms windows). Serial
-/// lanes — the observable is the window counters, not thread scaling —
-/// with the K=1 reference pinning byte identity for all three arms.
+/// The misaligned demo: a 66-gateway ring at K=8, a node count where
+/// equal-chunk lane boundaries would cut four host LANs (100 µs
+/// windows); the partitioner places every boundary on a trunk (30 ms
+/// windows). Serial lanes — the observable is the window counters, not
+/// thread scaling — with the K=1 reference pinning byte identity.
 pub fn run_misaligned(seed: u64) -> Battery {
     let runs = vec![
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 1, Arm::PerPair, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::Global, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::PerPair, false),
-        run_one_arm(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, Arm::Partitioner, false),
+        run_one(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 1, false),
+        run_one(RING_MISALIGNED, FLOWS_PER_CELL_CHECK, seed, 8, false),
     ];
     let all_equal = check_equal(&runs);
     Battery {
@@ -397,8 +315,7 @@ pub fn table(battery: &Battery) -> Table {
         format!(
             "E17 — Sharded parallel execution: ring-{} ({} concurrent CBR/UDP \
              flows), {VIRTUAL} of virtual time per run; per-pair-lookahead \
-             lanes on scoped threads vs the single-lane reference, with the \
-             global-lookahead baseline and partitioner arms at K=4 \
+             lanes on scoped threads vs the single-lane reference \
              (host reported {} core{})",
             battery.gateways,
             battery.flows,
@@ -407,7 +324,6 @@ pub fn table(battery: &Battery) -> Table {
         ),
         &[
             "shards",
-            "arm",
             "lanes",
             "events",
             "forwarded",
@@ -424,7 +340,6 @@ pub fn table(battery: &Battery) -> Table {
         let equal = r.digests == battery.runs[0].digests;
         table.row(vec![
             format!("{}", r.shards),
-            r.arm.name().into(),
             format!("{}", r.lanes),
             format!("{}", r.events),
             format!("{}", r.forwarded),
@@ -437,16 +352,12 @@ pub fn table(battery: &Battery) -> Table {
         ]);
     }
     table.note(
-        "Expected shape: dumps equal on every row — lane count, lookahead \
-         protocol and partition choice are all observably indistinguishable \
-         from the reference, which is the whole contract. The per-pair arm \
-         beats the global baseline at equal K (wider windows where traffic is \
-         asymmetric, idle lanes skipped instead of dispatched); speedup at \
-         K=4 clears 1.5x on a 4-core host and is bounded by the host core \
-         count (a 1-core container runs every lane serially and reports \
-         ~1.0x, but the per-pair arm still wins on fewer rounds and fewer \
-         thread spawns). Wall-clock columns vary run to run; event counts, \
-         forward counts, digests and window counters are seed-deterministic.",
+        "Expected shape: dumps equal on every row — lane count is \
+         observably indistinguishable from the reference, which is the \
+         whole contract. Speedup is bounded by the host core count (a \
+         1-core container runs every lane serially and reports ~1.0x). \
+         Wall-clock columns vary run to run; event counts, forward counts, \
+         digests and window counters are seed-deterministic.",
     );
     table
 }
@@ -456,12 +367,12 @@ pub fn misaligned_table(battery: &Battery) -> Table {
     let mut table = Table::new(
         format!(
             "E17b — Latency-aware partitioning, misaligned ring-{} ({} flows, \
-             K=8 serial lanes): equal-chunk boundaries cut four host LANs; \
-             the partitioner slides them back onto T1 trunks",
+             K=8 serial lanes): equal-chunk boundaries would cut four host \
+             LANs; the partitioner places every boundary on a T1 trunk",
             battery.gateways, battery.flows,
         ),
         &[
-            "arm",
+            "shards",
             "lanes",
             "dumps equal",
             "windows",
@@ -474,11 +385,7 @@ pub fn misaligned_table(battery: &Battery) -> Table {
     for r in &battery.runs {
         let equal = r.digests == battery.runs[0].digests;
         table.row(vec![
-            if r.shards == 1 {
-                "reference".into()
-            } else {
-                r.arm.name().into()
-            },
+            format!("{}", r.shards),
             format!("{}", r.lanes),
             if equal { "yes" } else { "NO" }.into(),
             format!("{}", r.stats.windows),
@@ -489,11 +396,10 @@ pub fn misaligned_table(battery: &Battery) -> Table {
         ]);
     }
     table.note(
-        "Expected shape: all four rows byte-identical (partition choice is \
-         performance-only), with the global and per-pair arms stuck at \
-         ~100 µs windows — the LAN a misplaced boundary cuts — and the \
-         partitioner arm back at trunk-width windows, orders of magnitude \
-         fewer rounds, and correspondingly less barrier overhead.",
+        "Expected shape: both rows byte-identical (partition choice is \
+         performance-only), and the K=8 row at trunk-width windows with no \
+         collapsed window — every boundary cuts a 30 ms trunk, none a \
+         100 µs LAN.",
     );
     table
 }
@@ -501,9 +407,9 @@ pub fn misaligned_table(battery: &Battery) -> Table {
 /// Serialize as `BENCH_e17.json`. With `timings: false` (CI `--check`)
 /// only K-invariant fields survive: no shard counts, no lane counts,
 /// no wall clock, no host cores, no window counters — check files
-/// produced at *different* K, or with the partitioner on vs off, must
-/// be byte-identical, which is exactly what CI diffs. With timings on,
-/// `misaligned` (when given) rides along as the partitioner demo.
+/// produced at *different* K must be byte-identical, which is exactly
+/// what CI diffs. With timings on, `misaligned` (when given) rides
+/// along as the partitioner demo.
 pub fn to_json(battery: &Battery, timings: bool, misaligned: Option<&Battery>) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e17\",\n");
     out.push_str(&format!(
@@ -550,13 +456,12 @@ fn runs_json(runs: &[ShardRun], reference_wall_ms: f64, indent: &str) -> String 
     let mut out = String::new();
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
-            "{indent}{{\"shards\": {}, \"arm\": \"{}\", \"lanes\": {}, \
+            "{indent}{{\"shards\": {}, \"lanes\": {}, \
              \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \"speedup\": {:.3}, \
              \"windows\": {}, \"avg_span_us\": {:.0}, \"collapsed\": {}, \
              \"barrier_stalls\": {}, \"lanes_dispatched\": {}, \
              \"lanes_skipped\": {}}}{}\n",
             r.shards,
-            r.arm.name(),
             r.lanes,
             r.wall_ms,
             r.events as f64 / (r.wall_ms / 1e3),
@@ -579,10 +484,13 @@ mod tests {
 
     #[test]
     fn small_ring_is_byte_identical_across_shard_counts() {
-        // A 16-gateway ring (the smallest cell-aligned size) at K = 1,
-        // 2, 4: identical digests, event counts, and forward counts —
-        // the E17 contract end to end, threads included.
-        let runs: Vec<ShardRun> = [1, 2, 4].iter().map(|&k| run_one(16, 2, 11, k)).collect();
+        // A 16-gateway ring at K = 1, 2, 4: identical digests, event
+        // counts, and forward counts — the E17 contract end to end,
+        // threads included.
+        let runs: Vec<ShardRun> = [1, 2, 4]
+            .iter()
+            .map(|&k| run_one(16, 2, 11, k, true))
+            .collect();
         for r in &runs[1..] {
             assert_eq!(r.digests, runs[0].digests, "K={} dumps diverged", r.shards);
             assert_eq!(r.events, runs[0].events, "K={} event count", r.shards);
@@ -604,7 +512,7 @@ mod tests {
             gateways: 16,
             cells: 8,
             flows: 16,
-            runs: vec![run_one(16, 2, 11, k)],
+            runs: vec![run_one(16, 2, 11, k, true)],
             all_equal: true,
             host_cores: cores,
         };
@@ -620,56 +528,24 @@ mod tests {
     }
 
     #[test]
-    fn partitioner_is_byte_neutral() {
-        // The CI cross-diff in miniature: the same workload with the
-        // partitioner off and on must agree on every K-invariant field
-        // — partition choice is performance-only.
-        let off = run_one_arm(16, 2, 11, 2, Arm::PerPair, true);
-        let on = run_one_arm(16, 2, 11, 2, Arm::Partitioner, true);
-        assert_eq!(off.digests, on.digests, "partitioner changed bytes");
-        assert_eq!(off.events, on.events);
-        assert_eq!(off.forwarded, on.forwarded);
-    }
-
-    #[test]
-    fn global_baseline_arm_matches_bytes_and_dispatches_every_lane() {
-        let per_pair = run_one_arm(16, 2, 11, 4, Arm::PerPair, true);
-        let global = run_one_arm(16, 2, 11, 4, Arm::Global, true);
-        assert_eq!(per_pair.digests, global.digests, "arms must agree on bytes");
-        assert_eq!(
-            global.stats.lanes_skipped, 0,
-            "the baseline dispatches every lane every round"
-        );
+    fn misaligned_ring_splits_on_trunks_and_keeps_bytes() {
+        // An 18-gateway ring (36 nodes) at K=4: equal chunks would cut
+        // at 9/18/27, two of them inside cells (host LANs). The default
+        // split must cut trunks only — no window collapses, and the
+        // mean window is trunk-scale (the T1 trunk is 30 ms; lanes
+        // next to a LAN cut are held near 100 µs, which pulls the mean
+        // far below) — with every dump byte-identical to the
+        // single-lane reference.
+        let reference = run_one(18, 2, 11, 1, false);
+        let split = run_one(18, 2, 11, 4, false);
+        assert_eq!(split.digests, reference.digests, "K=4 dumps diverged");
+        assert_eq!(split.events, reference.events);
+        assert_eq!(split.forwarded, reference.forwarded);
+        assert_eq!(split.stats.collapsed, 0, "{:?}", split.stats);
         assert!(
-            per_pair.stats.lanes_skipped > 0,
-            "per-pair skips idle lanes: {:?}",
-            per_pair.stats
-        );
-    }
-
-    #[test]
-    fn misaligned_ring_partitioner_widens_windows_and_keeps_bytes() {
-        // An 18-gateway ring (36 nodes) at K=4: equal chunks cut at
-        // 9/18/27, two of them inside cells (host LANs); the
-        // partitioner must slide every boundary onto a trunk, widening
-        // the mean window from LAN scale toward trunk scale, with all
-        // dumps byte-identical.
-        let reference = run_one_arm(18, 2, 11, 1, Arm::PerPair, false);
-        let off = run_one_arm(18, 2, 11, 4, Arm::PerPair, false);
-        let on = run_one_arm(18, 2, 11, 4, Arm::Partitioner, false);
-        assert_eq!(off.digests, reference.digests, "equal-chunk arm diverged");
-        assert_eq!(on.digests, reference.digests, "partitioner arm diverged");
-        assert!(
-            on.avg_span_us() > 4.0 * off.avg_span_us(),
-            "trunk-only cuts must widen windows: off {:.0} µs vs on {:.0} µs",
-            off.avg_span_us(),
-            on.avg_span_us()
-        );
-        assert!(
-            on.stats.windows < off.stats.windows,
-            "wider windows mean fewer rounds: {} vs {}",
-            on.stats.windows,
-            off.stats.windows
+            split.avg_span_us() > 20_000.0,
+            "trunk-only cuts give trunk-scale windows: {:.0} µs",
+            split.avg_span_us()
         );
     }
 

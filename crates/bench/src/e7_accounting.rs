@@ -8,13 +8,13 @@
 //! the customer would least like to pay extra for.
 //!
 //! **Experiment.** A bulk TCP transfer crosses a dumbbell whose trunk
-//! loss we sweep. The middle gateway keeps a [`catenet_core::accounting::Ledger`]
+//! loss we sweep. The middle gateway keeps a [`catenet_accounting::ledger::Ledger`]
 //! (carried bytes, as a billing gateway would see them); the receiving
 //! application records goodput bytes (the truth). We report the
 //! accounting error.
 
 use crate::table::Table;
-use catenet_core::accounting::Ledger;
+use catenet_accounting::ledger::Ledger;
 use catenet_core::app::{BulkSender, SinkServer};
 use catenet_core::iface::Framing;
 use catenet_core::{Endpoint, Network, TcpConfig};

@@ -226,8 +226,61 @@ impl Lane {
     }
 }
 
+/// Everything the network keeps per node, in one record: the node
+/// itself, its applications, its event-loop bookkeeping and the
+/// harvest baselines. One record per node means a lane's share of the
+/// network is one contiguous slice, carved with a single
+/// `split_at_mut` per boundary.
+pub(crate) struct Slot {
+    pub node: Node,
+    pub apps: Vec<Box<dyn Application>>,
+    /// The earliest wake already scheduled for this node, if any.
+    pub next_wake: Option<Instant>,
+    /// Origin sequence for delivery keys (see [`Keyed`]).
+    pub event_seq: u64,
+    /// Service passes executed (one per same-instant batch).
+    pub service_count: u64,
+    /// Byzantine corruption state (see `FaultAction::Compromise`): the
+    /// liar's outgoing RIP frames are rewritten in [`LaneView::transmit`],
+    /// after the node honestly computed them.
+    pub byz: Option<ByzantineState>,
+    /// Last observed DV table version (route-change detection).
+    pub last_dv_version: u64,
+    /// Last observed cumulative RTO count.
+    pub last_rto_total: u64,
+    /// Last harvested (arp gave-up, reassembled, reassembly timeouts,
+    /// reassembly evictions), for delta-counting into the registry.
+    pub last_harvest: (u64, u64, u64, u64),
+    /// Last harvested accounting counters.
+    pub last_acct: AcctCounters,
+    /// Last harvested route-guard verdict totals per neighbor.
+    pub last_guard: BTreeMap<Ipv4Address, GuardCounters>,
+    /// Cumulative acked bytes at the previous sample (goodput). Read
+    /// and written only by the coordinator's sampler.
+    pub last_sampled_acked: u64,
+}
+
+impl Slot {
+    pub fn new(node: Node) -> Slot {
+        Slot {
+            node,
+            apps: Vec::new(),
+            next_wake: None,
+            event_seq: 0,
+            service_count: 0,
+            byz: None,
+            last_dv_version: 0,
+            last_rto_total: 0,
+            last_harvest: (0, 0, 0, 0),
+            last_acct: (0, 0, 0, 0),
+            last_guard: BTreeMap::new(),
+            last_sampled_acked: 0,
+        }
+    }
+}
+
 /// A lane plus mutable views of the network state its windows may
-/// touch: the lane's node range (as disjoint slices) and shared
+/// touch: the lane's node range (as one slice of [`Slot`]s) and shared
 /// read-only topology. This is everything `run_window` needs — and,
 /// deliberately, nothing else: no telemetry, no accounting collector,
 /// no other lane. In `ShardKind::Parallel` one of these per lane is
@@ -235,18 +288,8 @@ impl Lane {
 pub(crate) struct LaneView<'a> {
     pub lane: &'a mut Lane,
     pub lane_index: usize,
-    pub lo: NodeId,
-    pub nodes: &'a mut [Node],
-    pub apps: &'a mut [Vec<Box<dyn Application>>],
-    pub next_wake: &'a mut [Option<Instant>],
-    pub event_seq: &'a mut [u64],
-    pub service_count: &'a mut [u64],
-    pub byz: &'a mut [Option<ByzantineState>],
-    pub last_dv_version: &'a mut [u64],
-    pub last_rto_total: &'a mut [u64],
-    pub last_harvest: &'a mut [(u64, u64, u64, u64)],
-    pub last_acct: &'a mut [AcctCounters],
-    pub last_guard: &'a mut [BTreeMap<Ipv4Address, GuardCounters>],
+    /// Nodes `lane.lo..lane.hi`.
+    pub slots: &'a mut [Slot],
     pub endpoint_index: &'a HashMap<(NodeId, usize), (LinkId, bool)>,
     pub links_meta: &'a [LinkMeta],
     pub link_home: &'a [[(u32, u32); 2]],
@@ -260,13 +303,13 @@ pub(crate) struct LaneView<'a> {
 }
 
 impl LaneView<'_> {
-    fn node(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id - self.lo]
+    fn slot(&mut self, id: NodeId) -> &mut Slot {
+        &mut self.slots[id - self.lane.lo]
     }
 
     /// Mint the next delivery key originating at `id`.
     fn next_key(&mut self, id: NodeId) -> u64 {
-        let seq = &mut self.event_seq[id - self.lo];
+        let seq = &mut self.slot(id).event_seq;
         let key = ((id as u64) << 32) | *seq;
         *seq += 1;
         key
@@ -291,12 +334,13 @@ impl LaneView<'_> {
             for keyed in batch.drain(..) {
                 let (node, key) = match keyed.event {
                     Event::Frame { to, iface, frame } => {
-                        self.node(to).handle_frame(at, iface, frame);
+                        self.slot(to).node.handle_frame(at, iface, frame);
                         (to, keyed.key)
                     }
                     Event::Wake { node } => {
-                        if self.next_wake[node - self.lo] == Some(at) {
-                            self.next_wake[node - self.lo] = None;
+                        let wake = &mut self.slot(node).next_wake;
+                        if *wake == Some(at) {
+                            *wake = None;
                         }
                         (node, keyed.key)
                     }
@@ -317,28 +361,27 @@ impl LaneView<'_> {
     /// detection, outbox drain, timer re-arm. `token` orders the
     /// resulting harvest entry among same-instant entries.
     pub fn service_node(&mut self, id: NodeId, now: Instant, token: u64) {
-        let li = id - self.lo;
-        self.service_count[li] += 1;
+        let slot = self.slot(id);
+        slot.service_count += 1;
         // Applications first: they may write into sockets.
-        let mut apps = core::mem::take(&mut self.apps[li]);
-        for app in &mut apps {
-            app.poll(&mut self.nodes[li], now);
+        for app in &mut slot.apps {
+            app.poll(&mut slot.node, now);
         }
-        self.apps[li] = apps;
         // Protocol machinery: timers, routing, socket dispatch.
-        self.nodes[li].service(now);
+        slot.node.service(now);
         self.harvest_node(id, now, token);
         // Push produced frames onto links. Swap semantics keep the
         // steady state allocation-free.
         let mut outbox = core::mem::take(&mut self.lane.outbox);
-        self.nodes[li].swap_outbox(&mut outbox);
+        self.slot(id).node.swap_outbox(&mut outbox);
         for (iface, frame) in outbox.drain(..) {
             self.transmit(id, iface, frame, now);
         }
         self.lane.outbox = outbox;
         // Timer wake scheduling.
-        let mut want = self.nodes[li].poll_at(now);
-        for app in &self.apps[li] {
+        let slot = self.slot(id);
+        let mut want = slot.node.poll_at(now);
+        for app in &slot.apps {
             if let Some(at) = app.next_wake() {
                 let at = at.max(now);
                 want = Some(match want {
@@ -355,8 +398,8 @@ impl LaneView<'_> {
             } else {
                 at
             };
-            if self.next_wake[li].is_none_or(|pending| at < pending) {
-                self.next_wake[li] = Some(at);
+            if slot.next_wake.is_none_or(|pending| at < pending) {
+                slot.next_wake = Some(at);
                 let key = self.next_key(id);
                 self.lane.sched.schedule_at(
                     at,
@@ -380,8 +423,9 @@ impl LaneView<'_> {
         // A compromised node lies on the wire, not in its own state:
         // the rewrite happens here so the tap (and the receiver) see
         // exactly what a byzantine gateway would have emitted.
-        if let Some(state) = self.byz[from - self.lo].as_mut() {
-            let framing = self.nodes[from - self.lo].ifaces[iface].framing;
+        let slot = &mut self.slots[from - self.lane.lo];
+        if let Some(state) = slot.byz.as_mut() {
+            let framing = slot.node.ifaces[iface].framing;
             if let Some(corrupted) = state.corrupt_frame(iface, framing, &frame) {
                 frame = self.lane.pool.adopt(PacketBuf::from_vec(corrupted));
             }
@@ -427,8 +471,9 @@ impl LaneView<'_> {
                 // the offering node knows its own queue overflowed —
                 // 1988 gateways answered that with ICMP source quench.
                 if reason == catenet_sim::DropReason::QueueFull {
-                    self.node(from).on_queue_drop(now, iface, &frame);
-                    let outbox = self.node(from).take_outbox();
+                    let node = &mut self.slot(from).node;
+                    node.on_queue_drop(now, iface, &frame);
+                    let outbox = node.take_outbox();
                     for (out_iface, out_frame) in outbox {
                         // One level of recursion at most: quenches are
                         // ICMP errors, and errors about errors are
@@ -447,20 +492,20 @@ impl LaneView<'_> {
     /// same order, what the pre-shard loop wrote directly into
     /// telemetry — the coordinator replays the ops verbatim.
     fn harvest_node(&mut self, id: NodeId, now: Instant, token: u64) {
-        let li = id - self.lo;
         let mut ops: Vec<HarvestOp> = Vec::new();
-        let node = &self.nodes[li];
+        let slot = &mut self.slots[id - self.lane.lo];
+        let node = &slot.node;
         if let Some(dv) = &node.dv {
             let version = dv.version();
-            if version != self.last_dv_version[li] {
-                self.last_dv_version[li] = version;
+            if version != slot.last_dv_version {
+                slot.last_dv_version = version;
                 ops.push(HarvestOp::RouteChanged { version });
             }
         }
         let rto: u64 = node.tcp_sockets.iter().map(|s| s.stats.timeouts).sum();
-        let last_rto = self.last_rto_total[li];
+        let last_rto = slot.last_rto_total;
         if rto != last_rto {
-            self.last_rto_total[li] = rto;
+            slot.last_rto_total = rto;
             // A drop means the sockets died with the node
             // (fate-sharing); only a rise is a firing.
             if rto > last_rto {
@@ -476,9 +521,9 @@ impl LaneView<'_> {
             node.reassembler().timed_out,
             node.reassembler().evicted,
         );
-        let last = self.last_harvest[li];
+        let last = slot.last_harvest;
         if cur != last {
-            self.last_harvest[li] = cur;
+            slot.last_harvest = cur;
             for (name, value, floor) in [
                 ("arp_gave_up_drops", cur.0, last.0),
                 ("reassembled_datagrams", cur.1, last.1),
@@ -506,9 +551,9 @@ impl LaneView<'_> {
             ),
             None => (0, 0, 0, 0),
         };
-        let last = self.last_acct[li];
+        let last = slot.last_acct;
         if cur != last {
-            self.last_acct[li] = cur;
+            slot.last_acct = cur;
             for (name, value, floor) in [
                 ("flow_evictions", cur.0, last.0),
                 ("flow_idle_expired", cur.1, last.1),
@@ -527,7 +572,7 @@ impl LaneView<'_> {
         // for the flight recorder. With the guard off neither accrues.
         let mut verdict_rows: Vec<(Ipv4Address, GuardCounters)> = Vec::new();
         let mut incidents = Vec::new();
-        if let Some(dv) = &mut self.nodes[li].dv {
+        if let Some(dv) = &mut slot.node.dv {
             if dv.guard().enabled() {
                 verdict_rows = dv
                     .guard()
@@ -549,14 +594,15 @@ impl LaneView<'_> {
             incidents = dv.guard_mut().drain_incidents();
         }
         for (addr, cur) in verdict_rows {
-            let last = self.last_guard[li]
+            let last = slot
+                .last_guard
                 .get(&addr)
                 .copied()
                 .unwrap_or((0, 0, 0, 0, 0));
             if cur == last {
                 continue;
             }
-            self.last_guard[li].insert(addr, cur);
+            slot.last_guard.insert(addr, cur);
             // `guard_attest_rejected` only accrues when attestation is
             // verified, so attestation-off runs emit no new counter.
             for (name, value, floor) in [

@@ -16,19 +16,20 @@
 //! telemetry harvests exchanged at barrier instants. Every dump is
 //! byte-identical across K — `tests/shard_equivalence.rs` is the proof.
 
-use crate::accounting::{Ledger, Reconciliation, ReportCollector};
 use crate::app::Application;
 use crate::byzantine::ByzantineState;
-use crate::flow::FlowTable;
 use crate::iface::{Framing, Iface};
 use crate::lane::{
-    AcctCounters, CrossFrame, Event, GuardCounters, HarvestEntry, HarvestOp, Keyed, Lane, LaneLink,
-    LaneView, LinkEnd, LinkMeta,
+    CrossFrame, Event, HarvestEntry, HarvestOp, Keyed, Lane, LaneLink, LaneView, LinkEnd, LinkMeta,
+    Slot,
 };
 use crate::node::{Node, NodeRole};
 use crate::par::{self, SendView};
 use crate::partition::{self, CutLink};
 use crate::pool::{PacketPool, PoolStats};
+use catenet_accounting::ledger::Ledger;
+use catenet_accounting::report::{Reconciliation, ReportCollector};
+use catenet_accounting::table::FlowTable;
 use catenet_routing::{Attestor, GuardPolicy, MacKey, OriginId, OriginRegistry};
 use catenet_sim::{
     ByzantineAttack, Duration, FaultAction, FaultPlan, Instant, Link, LinkClass, LinkParams,
@@ -36,7 +37,7 @@ use catenet_sim::{
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Index of a node within the network.
@@ -57,8 +58,11 @@ struct AccountingCtl {
 
 /// The simulated internetwork.
 pub struct Network {
-    nodes: Vec<Node>,
-    apps: Vec<Vec<Box<dyn Application>>>,
+    /// One record per node: the node, its applications, and every
+    /// piece of per-node loop and harvest state (see [`Slot`]). Lanes
+    /// are contiguous `NodeId` ranges so each one's share is a single
+    /// sub-slice.
+    slots: Vec<Slot>,
     /// Who is on each end of each duplex link. The directed `Link`s
     /// themselves live in the lanes that own their senders.
     links_meta: Vec<LinkMeta>,
@@ -80,9 +84,6 @@ pub struct Network {
     /// would both be invalidated by growth).
     frozen: bool,
     now: Instant,
-    next_wake: Vec<Option<Instant>>,
-    /// Per-node origin sequence for delivery keys (see [`Keyed`]).
-    event_seq: Vec<u64>,
     subnet_counter: u16,
     /// Optional frame tap (e.g. a pcap writer) observing every frame
     /// offered to any link.
@@ -102,27 +103,6 @@ pub struct Network {
     /// The observability subsystem: metrics registry, time-series
     /// sampler, flight recorder, convergence tracer.
     telemetry: Telemetry,
-    /// Last observed DV table version per node (route-change detection).
-    last_dv_version: Vec<u64>,
-    /// Last observed cumulative RTO count per node.
-    last_rto_total: Vec<u64>,
-    /// Cumulative acked bytes per node at the previous sample (goodput).
-    last_sampled_acked: Vec<u64>,
-    /// Last harvested (arp gave-up, reassembled, reassembly timeouts,
-    /// reassembly evictions) per node, for delta-counting into the
-    /// registry.
-    last_harvest: Vec<(u64, u64, u64, u64)>,
-    /// Service passes executed per node (each pass may handle a whole
-    /// batch of same-instant events; see [`Network::run_until`]).
-    service_count: Vec<u64>,
-    /// Byzantine corruption state per node (see
-    /// [`FaultAction::Compromise`]): the liar's outgoing RIP frames are
-    /// rewritten in the lane's `transmit`, after the node honestly
-    /// computed them. Dense so the per-node slice splits across lanes.
-    byz: Vec<Option<ByzantineState>>,
-    /// Last harvested route-guard verdict totals per node and neighbor,
-    /// for delta-counting into the registry.
-    last_guard: Vec<BTreeMap<Ipv4Address, GuardCounters>>,
     /// Route-origin attestation trust anchor (see
     /// [`Network::enable_attestation`]); `None` means attestation has
     /// never been enabled and nothing is signed or registered.
@@ -144,9 +124,6 @@ pub struct Network {
     /// armed it. `None` means no ledgers flush and no accounting
     /// telemetry interns, so unenabled dumps stay byte-identical.
     accounting: Option<AccountingCtl>,
-    /// Last harvested accounting counters per node, for delta-counting
-    /// into the registry.
-    last_acct: Vec<AcctCounters>,
     /// The per-lane-pair lookahead closure, flattened K×K row-major in
     /// microseconds (`reach[j*k + i]` = lane j → lane i), built once at
     /// the split. Entry (j, i), j ≠ i, is the cheapest multi-hop relay
@@ -159,18 +136,6 @@ pub struct Network {
     /// and its return bounds how far i may run ahead of itself.
     /// `u64::MAX` = unreachable. Empty until a K>1 split.
     lane_reach: Vec<u64>,
-    /// When set before the first run, `ensure_split` chooses lane
-    /// boundaries with the latency-aware partitioner instead of equal
-    /// chunks (see [`crate::partition`]). Performance-only: the reach
-    /// matrix is computed from whatever lanes exist, so dumps are
-    /// byte-identical either way.
-    partitioner: bool,
-    /// The PR 8 baseline arm for A/B pricing: one global window bound
-    /// (minimum cross-lane base propagation) anchored at the round's
-    /// earliest instant, every lane dispatched every round. Off by
-    /// default; E17 and the lane-window regressions flip it to compare
-    /// protocols on identical topologies.
-    global_lookahead: bool,
     /// Window-protocol counters (all zero for single-lane execution).
     stats: ShardStats,
     /// Harvested telemetry the barrier may not apply yet. Under
@@ -208,8 +173,7 @@ impl Network {
     pub fn with_config(seed: u64, kind: SchedulerKind, shard: ShardKind) -> Network {
         let pool = PacketPool::new();
         Network {
-            nodes: Vec::new(),
-            apps: Vec::new(),
+            slots: Vec::new(),
             links_meta: Vec::new(),
             link_home: Vec::new(),
             endpoint_index: HashMap::new(),
@@ -219,8 +183,6 @@ impl Network {
             shard,
             frozen: false,
             now: Instant::ZERO,
-            next_wake: Vec::new(),
-            event_seq: Vec::new(),
             subnet_counter: 0,
             tap: None,
             frames_offered: 0,
@@ -229,52 +191,20 @@ impl Network {
             faults_applied: 0,
             unconnected_drops: 0,
             telemetry: Telemetry::new(),
-            last_dv_version: Vec::new(),
-            last_rto_total: Vec::new(),
-            last_sampled_acked: Vec::new(),
-            last_harvest: Vec::new(),
-            service_count: Vec::new(),
-            byz: Vec::new(),
-            last_guard: Vec::new(),
             attest_master: None,
             pool,
             pool_metrics: false,
             last_pool: PoolStats::default(),
             accounting: None,
-            last_acct: Vec::new(),
             lane_reach: Vec::new(),
-            partitioner: false,
-            global_lookahead: false,
             stats: ShardStats::default(),
             pending_harvests: Vec::new(),
         }
     }
 
-    /// Choose lane boundaries with the latency-aware partitioner (see
-    /// [`crate::partition`]) instead of equal `NodeId` chunks. Must be
-    /// set before the first `run_until` freezes the topology. Changes
-    /// which links become cross-lane — never what the simulation
-    /// computes: dumps stay byte-identical across on/off (E17 asserts
-    /// it).
-    pub fn set_partitioner(&mut self, on: bool) {
-        assert!(!self.frozen, "partitioner must be chosen before the split");
-        self.partitioner = on;
-    }
-
-    /// Run the PR 8 baseline window protocol: a single global lookahead
-    /// (the minimum cross-lane base propagation) anchored at each
-    /// round's earliest pending instant, with every lane dispatched
-    /// every round. Exists so E17 can price the per-pair matrix against
-    /// its predecessor on the same topology; byte-identical dumps
-    /// either way.
-    pub fn set_global_lookahead(&mut self, on: bool) {
-        assert!(!self.frozen, "lookahead mode must be chosen before the split");
-        self.global_lookahead = on;
-    }
-
     /// Window-protocol execution counters (zero under single-lane
-    /// execution). Performance observables only — they vary across K
-    /// and lookahead modes while dumps stay byte-identical.
+    /// execution). Performance observables only — they vary with K and
+    /// lane boundaries while dumps stay byte-identical.
     pub fn shard_stats(&self) -> ShardStats {
         self.stats
     }
@@ -342,7 +272,7 @@ impl Network {
     /// How many service passes a node has executed (a same-instant
     /// batch of events costs one pass, not one per event).
     pub fn service_passes(&self, id: NodeId) -> u64 {
-        self.service_count[id]
+        self.slots[id].service_count
     }
 
     /// Add a host.
@@ -363,21 +293,10 @@ impl Network {
             "topology is frozen once a sharded network has run"
         );
         node.set_pool(self.pool.clone());
-        self.nodes.push(node);
-        self.apps.push(Vec::new());
-        self.next_wake.push(None);
-        self.event_seq.push(0);
-        self.last_dv_version.push(0);
-        self.last_rto_total.push(0);
-        self.last_sampled_acked.push(0);
-        self.last_harvest.push((0, 0, 0, 0));
-        self.service_count.push(0);
-        self.byz.push(None);
-        self.last_guard.push(BTreeMap::new());
-        self.last_acct.push((0, 0, 0, 0));
+        self.slots.push(Slot::new(node));
         self.lane_of.push(0);
-        self.lanes[0].hi = self.nodes.len();
-        self.nodes.len() - 1
+        self.lanes[0].hi = self.slots.len();
+        self.slots.len() - 1
     }
 
     /// Install a route-guard policy on every node that runs routing.
@@ -385,8 +304,8 @@ impl Network {
     /// with a node; configuration does not). Call after the topology is
     /// built — nodes added later keep the default (guard off).
     pub fn set_guard_policy(&mut self, policy: GuardPolicy) {
-        for node in &mut self.nodes {
-            if let Some(dv) = &mut node.dv {
+        for slot in &mut self.slots {
+            if let Some(dv) = &mut slot.node.dv {
                 dv.set_guard_policy(policy);
             }
         }
@@ -429,16 +348,16 @@ impl Network {
             return;
         };
         let mut registry = OriginRegistry::new(master);
-        for (id, node) in self.nodes.iter().enumerate() {
-            if node.dv.is_some() {
-                for iface in &node.ifaces {
+        for (id, slot) in self.slots.iter().enumerate() {
+            if slot.node.dv.is_some() {
+                for iface in &slot.node.ifaces {
                     registry.register(iface.cidr.network(), OriginId(id as u16));
                 }
             }
         }
         let registry = Rc::new(registry);
-        for (id, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(dv) = &mut node.dv {
+        for (id, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(dv) = &mut slot.node.dv {
                 // Derive directly rather than looking up in the
                 // registry: a node enabled before its first link has no
                 // registered prefix yet, but its identity is fixed.
@@ -476,22 +395,22 @@ impl Network {
 
     /// Borrow a node.
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id]
+        &self.slots[id].node
     }
 
     /// Borrow a node mutably.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id]
+        &mut self.slots[id].node
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     /// Attach an application to a node.
     pub fn attach_app(&mut self, node: NodeId, app: Box<dyn Application>) {
-        self.apps[node].push(app);
+        self.slots[node].apps.push(app);
         // Give it a chance to schedule its first wake.
         self.kick(node);
     }
@@ -534,8 +453,8 @@ impl Network {
         let cidr = Ipv4Cidr::new(net, 30);
         let ip_mtu = params.mtu - framing.overhead();
 
-        let hw_a = hw_addr(a, self.nodes[a].ifaces.len());
-        let iface_a = self.nodes[a].attach_iface(Iface {
+        let hw_a = hw_addr(a, self.node(a).ifaces.len());
+        let iface_a = self.node_mut(a).attach_iface(Iface {
             addr: addr_a,
             cidr,
             hardware: hw_a,
@@ -544,8 +463,8 @@ impl Network {
             framing,
             up: true,
         });
-        let hw_b = hw_addr(b, self.nodes[b].ifaces.len());
-        let iface_b = self.nodes[b].attach_iface(Iface {
+        let hw_b = hw_addr(b, self.node(b).ifaces.len());
+        let iface_b = self.node_mut(b).attach_iface(Iface {
             addr: addr_b,
             cidr,
             hardware: hw_b,
@@ -557,12 +476,11 @@ impl Network {
 
         // Hosts: default route via the first gateway they attach to.
         for (node, iface, peer) in [(a, iface_a, addr_b), (b, iface_b, addr_a)] {
-            if self.nodes[node].role == NodeRole::Host {
+            let node = self.node_mut(node);
+            if node.role == NodeRole::Host {
                 let default = Ipv4Cidr::new(Ipv4Address::UNSPECIFIED, 0);
-                if self.nodes[node].static_routes.get(&default).is_none() {
-                    self.nodes[node]
-                        .static_routes
-                        .insert(default, (iface, Some(peer)));
+                if node.static_routes.get(&default).is_none() {
+                    node.static_routes.insert(default, (iface, Some(peer)));
                 }
             }
         }
@@ -605,7 +523,7 @@ impl Network {
     /// The subnet of a link.
     pub fn link_subnet(&self, link: LinkId) -> Ipv4Cidr {
         let end = self.links_meta[link].a;
-        self.nodes[end.node].ifaces[end.iface].cidr
+        self.node(end.node).ifaces[end.iface].cidr
     }
 
     /// Address of `node` on `link`.
@@ -617,7 +535,7 @@ impl Network {
             assert_eq!(meta.b.node, node, "node not on link");
             meta.b
         };
-        self.nodes[end.node].ifaces[end.iface].addr
+        self.node(end.node).ifaces[end.iface].addr
     }
 
     /// Borrow one direction of a link (`ab` selects a→b) wherever its
@@ -643,12 +561,13 @@ impl Network {
             let meta = &self.links_meta[link];
             (meta.a, meta.b)
         };
-        self.nodes[a.node].ifaces[a.iface].up = up;
-        self.nodes[b.node].ifaces[b.iface].up = up;
+        self.node_mut(a.node).ifaces[a.iface].up = up;
+        self.node_mut(b.node).ifaces[b.iface].up = up;
         let now = self.now;
         for end in [a, b] {
-            let cidr = self.nodes[end.node].ifaces[end.iface].cidr.network();
-            if let Some(dv) = &mut self.nodes[end.node].dv {
+            let node = self.node_mut(end.node);
+            let cidr = node.ifaces[end.iface].cidr.network();
+            if let Some(dv) = &mut node.dv {
                 if up {
                     dv.add_connected(cidr, end.iface);
                 } else {
@@ -673,7 +592,7 @@ impl Network {
     /// battery-backed counters). Off by default: unenabled runs intern
     /// no accounting telemetry and their dumps stay byte-identical.
     pub fn enable_accounting(&mut self, period: Duration) {
-        for node in &mut self.nodes {
+        for Slot { node, .. } in &mut self.slots {
             if node.role == NodeRole::Gateway {
                 if node.flows.is_none() {
                     node.flows = Some(FlowTable::new());
@@ -700,7 +619,7 @@ impl Network {
     /// merged into one view. `None` until [`Network::enable_accounting`].
     pub fn reconcile(&self) -> Option<Reconciliation> {
         let ctl = self.accounting.as_ref()?;
-        let tails = self.nodes.iter().filter_map(|node| {
+        let tails = self.slots.iter().filter_map(|Slot { node, .. }| {
             node.ledger
                 .as_ref()
                 .and_then(|ledger| ledger.peek_tail(&node.name))
@@ -715,8 +634,8 @@ impl Network {
             return;
         };
         ctl.next_flush += ctl.period;
-        for id in 0..self.nodes.len() {
-            let node = &mut self.nodes[id];
+        for id in 0..self.slots.len() {
+            let node = &mut self.slots[id].node;
             if !node.alive {
                 continue;
             }
@@ -752,7 +671,7 @@ impl Network {
         // conservation identity (flushed + forfeited + live tails =
         // everything recorded) survives arbitrary crash storms.
         if let Some(ctl) = &mut self.accounting {
-            let node = &self.nodes[id];
+            let node = &self.slots[id].node;
             if node.alive {
                 if let Some(tail) = node
                     .ledger
@@ -776,12 +695,12 @@ impl Network {
                 }
             }
         }
-        self.nodes[id].crash();
+        self.node_mut(id).crash();
     }
 
     /// Reboot a crashed node.
     pub fn restart_node(&mut self, id: NodeId) {
-        self.nodes[id].restart();
+        self.node_mut(id).restart();
         self.kick(id);
     }
 
@@ -882,13 +801,13 @@ impl Network {
                 }
             }
             FaultAction::NodeCrash { node } => {
-                if *node < self.nodes.len() && self.nodes[*node].alive {
+                if *node < self.slots.len() && self.node(*node).alive {
                     self.crash_node(*node);
                     self.telemetry.convergence.disruption(now);
                 }
             }
             FaultAction::NodeRestart { node } => {
-                if *node < self.nodes.len() && !self.nodes[*node].alive {
+                if *node < self.slots.len() && !self.node(*node).alive {
                     self.restart_node(*node);
                     self.telemetry.convergence.heal(now);
                 }
@@ -948,8 +867,8 @@ impl Network {
                 }
             }
             FaultAction::Compromise { node, attack } => {
-                if *node < self.nodes.len() && self.byz[*node].is_none() {
-                    self.byz[*node] = Some(ByzantineState::new(*attack));
+                if *node < self.slots.len() && self.slots[*node].byz.is_none() {
+                    self.slots[*node].byz = Some(ByzantineState::new(*attack));
                     // The lie needs teeth: for every traffic-attraction
                     // attack the liar's forwarding path silently eats
                     // what it captures.
@@ -958,7 +877,7 @@ impl Network {
                     | ByzantineAttack::HijackAttested { addr, prefix_len }
                     | ByzantineAttack::SpoofOrigin { addr, prefix_len } = attack
                     {
-                        self.nodes[*node].blackhole_prefixes.push(
+                        self.node_mut(*node).blackhole_prefixes.push(
                             Ipv4Cidr::new(Ipv4Address::from_bytes(addr), *prefix_len).network(),
                         );
                     }
@@ -966,8 +885,8 @@ impl Network {
                 }
             }
             FaultAction::Rehabilitate { node } => {
-                if *node < self.byz.len() && self.byz[*node].take().is_some() {
-                    self.nodes[*node].blackhole_prefixes.clear();
+                if *node < self.slots.len() && self.slots[*node].byz.take().is_some() {
+                    self.node_mut(*node).blackhole_prefixes.clear();
                     self.telemetry.convergence.heal(now);
                 }
             }
@@ -996,7 +915,7 @@ impl Network {
         if self.frozen {
             return;
         }
-        let n = self.nodes.len();
+        let n = self.slots.len();
         let k = self.shard.shards().min(n.max(1));
         if k <= 1 {
             return;
@@ -1004,32 +923,28 @@ impl Network {
         self.frozen = true;
         let parallel = matches!(self.shard, ShardKind::Parallel { .. });
         let kind = self.lanes[0].sched.kind();
-        // Lane boundaries: equal `NodeId` chunks by default; with the
-        // partitioner on, boundaries slide (within a 25 % balance
-        // slack) to maximize the cheapest cut link, so LANs and other
-        // zero/low-latency links stay lane-internal without the
-        // builder arranging node order for it. Read latencies before
-        // the boot lane (which still homes every link) is popped.
-        let bounds: Vec<(usize, usize)> = if self.partitioner {
-            let links: Vec<CutLink> = self
-                .links_meta
-                .iter()
-                .enumerate()
-                .map(|(id, meta)| CutLink {
-                    a: meta.a.node,
-                    b: meta.b.node,
-                    micros: self
-                        .link_dir(id, true)
-                        .base_propagation()
-                        .total_micros()
-                        .min(self.link_dir(id, false).base_propagation().total_micros())
-                        .saturating_add(1),
-                })
-                .collect();
-            partition::partition(n, k, &links).bounds
-        } else {
-            (0..k).map(|i| (i * n / k, (i + 1) * n / k)).collect()
-        };
+        // Lane boundaries slide (within a 25 % balance slack around
+        // equal `NodeId` chunks) to maximize the cheapest cut link, so
+        // LANs and other zero/low-latency links stay lane-internal
+        // without the builder arranging node order for it. Read
+        // latencies before the boot lane (which still homes every
+        // link) is popped.
+        let links: Vec<CutLink> = self
+            .links_meta
+            .iter()
+            .enumerate()
+            .map(|(id, meta)| CutLink {
+                a: meta.a.node,
+                b: meta.b.node,
+                micros: self
+                    .link_dir(id, true)
+                    .base_propagation()
+                    .total_micros()
+                    .min(self.link_dir(id, false).base_propagation().total_micros())
+                    .saturating_add(1),
+            })
+            .collect();
+        let bounds = partition::partition(n, k, &links).bounds;
         debug_assert_eq!(bounds.len(), k, "partitioner preserves the lane count");
         let boot = self.lanes.pop().expect("boot lane");
         debug_assert_eq!(
@@ -1087,7 +1002,7 @@ impl Network {
         if parallel {
             for id in 0..n {
                 let pool = self.lanes[self.lane_of[id] as usize].pool.clone();
-                self.nodes[id].rehome_pool(pool);
+                self.slots[id].node.rehome_pool(pool);
             }
         }
         self.build_lane_reach();
@@ -1147,108 +1062,43 @@ impl Network {
         self.lane_reach = reach;
     }
 
-    /// The PR 8 global lookahead: the minimum base propagation delay of
-    /// any cross-lane link, in microseconds. `None` means no cross-lane
-    /// link exists (single lane) and windows are unbounded. Delay spikes
-    /// only *add* delay on top of the base, so the bound stays sound
-    /// under every fault the plan can inject. Kept as the baseline arm
-    /// (see [`Network::set_global_lookahead`]); the default protocol
-    /// uses [`Network::lane_reach`] instead.
-    fn cross_lookahead(&self) -> Option<u64> {
-        let mut lookahead: Option<u64> = None;
-        for (id, meta) in self.links_meta.iter().enumerate() {
-            if self.lane_of[meta.a.node] != self.lane_of[meta.b.node] {
-                let micros = self.link_dir(id, true).base_propagation().total_micros();
-                lookahead = Some(lookahead.map_or(micros, |cur| cur.min(micros)));
-            }
-        }
-        lookahead
-    }
-
-    /// Run one lane's window serially (tap included, if installed).
-    fn run_lane_window(&mut self, lane_index: usize, limit: Instant) {
+    /// A serial view of one lane (tap included, if installed).
+    fn lane_view(&mut self, lane_index: usize) -> LaneView<'_> {
         let lane = &mut self.lanes[lane_index];
         let (lo, hi) = (lane.lo, lane.hi);
-        let mut view = LaneView {
+        LaneView {
             lane,
             lane_index,
-            lo,
-            nodes: &mut self.nodes[lo..hi],
-            apps: &mut self.apps[lo..hi],
-            next_wake: &mut self.next_wake[lo..hi],
-            event_seq: &mut self.event_seq[lo..hi],
-            service_count: &mut self.service_count[lo..hi],
-            byz: &mut self.byz[lo..hi],
-            last_dv_version: &mut self.last_dv_version[lo..hi],
-            last_rto_total: &mut self.last_rto_total[lo..hi],
-            last_harvest: &mut self.last_harvest[lo..hi],
-            last_acct: &mut self.last_acct[lo..hi],
-            last_guard: &mut self.last_guard[lo..hi],
+            slots: &mut self.slots[lo..hi],
             endpoint_index: &self.endpoint_index,
             links_meta: &self.links_meta,
             link_home: &self.link_home,
             lane_of: &self.lane_of,
             tap: self.tap.as_mut(),
-        };
-        view.run_window(limit);
+        }
     }
 
     /// Run the dispatched lanes' windows on scoped threads, each to its
     /// own per-pair limit. Only called when no coordinator-shared state
     /// (tap, attestation registry) can leak into a lane. Skipped lanes
-    /// cost no thread spawn — their chunks are carved and dropped.
+    /// cost no thread spawn — their slices are carved and dropped.
     fn run_windows_threaded(&mut self, limits: &[Instant], dispatch: &[bool]) {
-        fn chunks<'a, T>(
-            mut slice: &'a mut [T],
-            bounds: &[(usize, usize)],
-        ) -> std::vec::IntoIter<&'a mut [T]> {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut offset = 0;
-            for &(lo, hi) in bounds {
-                debug_assert_eq!(lo, offset, "lanes tile the node range");
-                let (chunk, rest) = slice.split_at_mut(hi - offset);
-                out.push(chunk);
-                slice = rest;
-                offset = hi;
-            }
-            out.into_iter()
-        }
-        let bounds: Vec<(usize, usize)> = self.lanes.iter().map(|l| (l.lo, l.hi)).collect();
-        let mut nodes = chunks(&mut self.nodes, &bounds);
-        let mut apps = chunks(&mut self.apps, &bounds);
-        let mut next_wake = chunks(&mut self.next_wake, &bounds);
-        let mut event_seq = chunks(&mut self.event_seq, &bounds);
-        let mut service_count = chunks(&mut self.service_count, &bounds);
-        let mut byz = chunks(&mut self.byz, &bounds);
-        let mut last_dv_version = chunks(&mut self.last_dv_version, &bounds);
-        let mut last_rto_total = chunks(&mut self.last_rto_total, &bounds);
-        let mut last_harvest = chunks(&mut self.last_harvest, &bounds);
-        let mut last_acct = chunks(&mut self.last_acct, &bounds);
-        let mut last_guard = chunks(&mut self.last_guard, &bounds);
+        let mut rest: &mut [Slot] = &mut self.slots;
         let mut views: Vec<(SendView<'_>, Instant)> = Vec::with_capacity(self.lanes.len());
         for (lane_index, lane) in self.lanes.iter_mut().enumerate() {
-            let view = LaneView {
-                lo: lane.lo,
-                lane,
-                lane_index,
-                nodes: nodes.next().expect("one chunk per lane"),
-                apps: apps.next().expect("one chunk per lane"),
-                next_wake: next_wake.next().expect("one chunk per lane"),
-                event_seq: event_seq.next().expect("one chunk per lane"),
-                service_count: service_count.next().expect("one chunk per lane"),
-                byz: byz.next().expect("one chunk per lane"),
-                last_dv_version: last_dv_version.next().expect("one chunk per lane"),
-                last_rto_total: last_rto_total.next().expect("one chunk per lane"),
-                last_harvest: last_harvest.next().expect("one chunk per lane"),
-                last_acct: last_acct.next().expect("one chunk per lane"),
-                last_guard: last_guard.next().expect("one chunk per lane"),
-                endpoint_index: &self.endpoint_index,
-                links_meta: &self.links_meta,
-                link_home: &self.link_home,
-                lane_of: &self.lane_of,
-                tap: None,
-            };
+            let (slots, tail) = core::mem::take(&mut rest).split_at_mut(lane.hi - lane.lo);
+            rest = tail;
             if dispatch[lane_index] {
+                let view = LaneView {
+                    lane,
+                    lane_index,
+                    slots,
+                    endpoint_index: &self.endpoint_index,
+                    links_meta: &self.links_meta,
+                    link_home: &self.link_home,
+                    lane_of: &self.lane_of,
+                    tap: None,
+                };
                 views.push((SendView(view), limits[lane_index]));
             }
         }
@@ -1409,13 +1259,6 @@ impl Network {
             && k > 1
             && self.tap.is_none()
             && self.attest_master.is_none();
-        // The PR 8 baseline arm prices the old protocol: one global
-        // bound anchored at `at`, every lane dispatched every round.
-        let global_w = if self.global_lookahead {
-            self.cross_lookahead()
-        } else {
-            None
-        };
         let mut limits: Vec<Instant> = vec![Instant::ZERO; k];
         let mut dispatch: Vec<bool> = vec![true; k];
         loop {
@@ -1493,16 +1336,6 @@ impl Network {
             let mut stalled = false;
             if k == 1 {
                 limits[0] = Instant::from_micros(cap);
-            } else if self.global_lookahead {
-                let la = global_w.map_or(u64::MAX, |w| at_us.saturating_add(w));
-                if op_us.is_some_and(|op| op < cap_t && la > op) {
-                    stalled = true;
-                }
-                if la < cap && la == at_us {
-                    self.stats.collapsed += k as u64;
-                }
-                let end = Instant::from_micros(la.min(cap));
-                limits.iter_mut().for_each(|l| *l = end);
             } else {
                 for (i, slot) in limits.iter_mut().enumerate() {
                     let mut bound = u64::MAX;
@@ -1529,22 +1362,19 @@ impl Network {
                     *slot = Instant::from_micros(lim);
                 }
             }
+            // Only lanes with something due inside their window run. A
+            // lane's window never schedules into another lane's queue
+            // (cross frames buffer until the absorb), so the due-check
+            // stays valid as earlier serial lanes run.
+            for (i, lane) in self.lanes.iter().enumerate() {
+                dispatch[i] = lane.sched.peek_time().is_some_and(|ti| ti <= limits[i]);
+            }
             if threaded {
-                for (i, lane) in self.lanes.iter().enumerate() {
-                    dispatch[i] = self.global_lookahead
-                        || lane.sched.peek_time().is_some_and(|ti| ti <= limits[i]);
-                }
                 self.run_windows_threaded(&limits, &dispatch);
             } else {
-                // Serial: a lane's window never schedules into another
-                // lane's queue (cross frames buffer until the absorb),
-                // so the due-check stays valid as earlier lanes run.
                 for i in 0..k {
-                    let due = self.global_lookahead
-                        || self.lanes[i].sched.peek_time().is_some_and(|ti| ti <= limits[i]);
-                    dispatch[i] = due;
-                    if due {
-                        self.run_lane_window(i, limits[i]);
+                    if dispatch[i] {
+                        self.lane_view(i).run_window(limits[i]);
                     }
                 }
             }
@@ -1591,33 +1421,9 @@ impl Network {
     pub fn kick(&mut self, id: NodeId) {
         // Don't advance time: just service at the current instant.
         let now = self.now;
-        let lane_index = self.lane_of[id] as usize;
-        let lane = &mut self.lanes[lane_index];
-        let (lo, hi) = (lane.lo, lane.hi);
-        let mut view = LaneView {
-            lane,
-            lane_index,
-            lo,
-            nodes: &mut self.nodes[lo..hi],
-            apps: &mut self.apps[lo..hi],
-            next_wake: &mut self.next_wake[lo..hi],
-            event_seq: &mut self.event_seq[lo..hi],
-            service_count: &mut self.service_count[lo..hi],
-            byz: &mut self.byz[lo..hi],
-            last_dv_version: &mut self.last_dv_version[lo..hi],
-            last_rto_total: &mut self.last_rto_total[lo..hi],
-            last_harvest: &mut self.last_harvest[lo..hi],
-            last_acct: &mut self.last_acct[lo..hi],
-            last_guard: &mut self.last_guard[lo..hi],
-            endpoint_index: &self.endpoint_index,
-            links_meta: &self.links_meta,
-            link_home: &self.link_home,
-            lane_of: &self.lane_of,
-            tap: self.tap.as_mut(),
-        };
         // Token 0: a kick is absorbed by itself, never merge-sorted
         // against window entries.
-        view.service_node(id, now, 0);
+        self.lane_view(self.lane_of[id] as usize).service_node(id, now, 0);
         self.absorb(now);
     }
 
@@ -1675,8 +1481,8 @@ impl Network {
     fn take_sample(&mut self, at: Instant) {
         self.telemetry.sampler.begin_sample(at);
         let cadence = self.telemetry.sampler.cadence();
-        for id in 0..self.nodes.len() {
-            let node = &self.nodes[id];
+        for (id, slot) in self.slots.iter_mut().enumerate() {
+            let node = &slot.node;
             if let Some(dv) = &node.dv {
                 let version = dv.version();
                 self.telemetry
@@ -1685,8 +1491,8 @@ impl Network {
             }
             // Goodput: acked-byte delta over the cadence window, bits/s.
             let acked: u64 = node.tcp_sockets.iter().map(|s| s.stats.bytes_acked).sum();
-            let delta = acked.saturating_sub(self.last_sampled_acked[id]);
-            self.last_sampled_acked[id] = acked;
+            let delta = acked.saturating_sub(slot.last_sampled_acked);
+            slot.last_sampled_acked = acked;
             if delta > 0 && !cadence.is_zero() {
                 let bps = delta.saturating_mul(8_000_000) / cadence.total_micros();
                 self.telemetry
@@ -1743,7 +1549,7 @@ impl Network {
             at,
             "service_passes",
             Scope::Global,
-            self.service_count.iter().sum(),
+            self.slots.iter().map(|s| s.service_count).sum(),
         );
         // Pool telemetry, opt-in (see `set_pool_metrics`): occupancy as
         // a sampler gauge, counter deltas into the registry, mirroring
@@ -1817,7 +1623,7 @@ impl Network {
     fn routing_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for node in &self.nodes {
+        for Slot { node, .. } in &self.slots {
             if let Some(dv) = &node.dv {
                 for (prefix, route) in dv.routes() {
                     prefix.address().to_u32().hash(&mut hasher);
@@ -1881,7 +1687,7 @@ impl core::fmt::Debug for Network {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Network")
             .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.slots.len())
             .field("links", &self.links_meta.len())
             .field("lanes", &self.lanes.len())
             .field(

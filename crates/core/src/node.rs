@@ -14,12 +14,13 @@
 //!   die *with* it — which is precisely fate-sharing's promise: state is
 //!   lost only when the entity that cared about it is gone too.
 
-use crate::accounting::Ledger;
 use crate::arp::{ArpCache, Resolution};
-use crate::flow::{FlowId, FlowTable};
 use crate::iface::{Framing, Iface};
 use crate::pool::{PacketBuf, PacketPool, HEADROOM};
 use crate::socket::UdpSocket;
+use catenet_accounting::flow::FlowId;
+use catenet_accounting::ledger::Ledger;
+use catenet_accounting::table::FlowTable;
 use catenet_ip::{fragment, icmp, FragError, Reassembler, RoutingTable};
 use catenet_routing::{DvEngine, ExportPolicy, RipMessage, RIP_PORT};
 use catenet_sim::{Duration, Instant};

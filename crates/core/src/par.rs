@@ -4,8 +4,8 @@
 //! lane — mutually disjoint mutable slices of the network plus shared
 //! read-only topology — and this module runs each view's window on its
 //! own scoped thread. The views are disjoint by construction
-//! (`split_views` carves every per-node vector with `split_at_mut`),
-//! so the only thing standing between them and `std::thread::scope` is
+//! (`Network::run_windows_threaded` carves the one per-node slot vector
+//! with `split_at_mut`), so the only thing standing between them and `std::thread::scope` is
 //! `Send`: nodes hold `Rc`-based packet pools that are not `Send`,
 //! even though no clone of those `Rc`s ever lives outside the owning
 //! lane once the split re-homed every pool (`Network::ensure_split`
@@ -32,12 +32,13 @@ use crate::lane::LaneView;
 pub(crate) struct SendView<'a>(pub LaneView<'a>);
 
 // SAFETY: a `LaneView` is a set of mutable borrows that are disjoint
-// across views (distinct lanes, distinct node ranges) plus shared
-// references to immutable topology. The non-`Send` interior (`Rc`
-// packet pools inside nodes/buffers, `Rc` attestation registries) is
-// confined: `ensure_split` gives each lane a private pool and detaches
-// every buffer allocated before the split, re-homing severs cross-lane
-// `Rc` sharing, and attestation-bearing networks are demoted to serial
+// across views (distinct lanes, distinct slot ranges: each view's
+// nodes, apps and per-node bookkeeping) plus shared references to
+// immutable topology. The non-`Send` interior (`Rc` packet pools
+// inside nodes/buffers, `Rc` attestation registries) is confined:
+// `ensure_split` gives each lane a private pool and detaches every
+// buffer allocated before the split, re-homing severs cross-lane `Rc`
+// sharing, and attestation-bearing networks are demoted to serial
 // execution before this type is ever constructed. `dyn Application`
 // boxes need no argument — `Application: Send` is a trait bound. Each
 // `SendView` is moved to exactly one thread and the scope joins before

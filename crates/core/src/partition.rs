@@ -2,7 +2,7 @@
 //! boundaries that maximize the minimum latency of any cut link.
 //!
 //! The lane machinery requires lanes to be contiguous `NodeId` ranges
-//! (every per-node vector is carved with `split_at_mut`), so the
+//! (the per-node slot vector is carved with `split_at_mut`), so the
 //! partitioner does not renumber or permute nodes — it chooses the
 //! K−1 *boundary positions*. That is exactly the degree of freedom the
 //! conservative window protocol cares about: the per-pair lookahead is
@@ -27,9 +27,9 @@
 //! The choice is advisory for *performance* only: safety never depends
 //! on it. The per-pair lookahead matrix is computed **after** the split
 //! from the lanes actually chosen, so a poor partition gives narrow
-//! windows, never wrong bytes — and `Network::set_partitioner` is
-//! therefore digest-neutral by construction (asserted by E17 across
-//! partitioner on/off).
+//! windows, never wrong bytes: the partition is digest-neutral by
+//! construction (E17 and `tests/shard_equivalence.rs` diff every dump
+//! across K on partitioner-placed boundaries).
 
 /// One undirected link, described by the conservative latency a cut
 /// through it would impose on the window protocol (base propagation

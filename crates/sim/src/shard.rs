@@ -48,7 +48,7 @@ pub enum ShardKind {
 /// These are *performance* observables, not simulation observables:
 /// they describe how the barrier protocol carved virtual time into
 /// windows, never what the simulation computed — so they are allowed
-/// to differ across K and across lookahead modes while every telemetry
+/// to differ across K and lane boundaries while every telemetry
 /// dump stays byte-identical. E17 prices the protocol with them, and
 /// the regression tests in `tests/lane_windows.rs` pin the two failure
 /// shapes they exist to expose: a zero-latency boundary link collapsing

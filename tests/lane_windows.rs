@@ -2,7 +2,7 @@
 //! failure shapes — pinned as *counters*, never as byte divergence.
 //!
 //! The conservative window protocol (`crates/core/src/network.rs`,
-//! `run_until`) promises that lane count and lookahead mode change
+//! `run_until`) promises that lane count and lane boundaries change
 //! performance only: every telemetry dump stays byte-identical to the
 //! single-lane reference. The two topologies most likely to break that
 //! promise in spirit (correct bytes, useless speedup) are:
@@ -19,29 +19,28 @@
 //!    actions in one interruption, only lanes with due events
 //!    executed) must show up in `barrier_stalls`/`op_batches`/
 //!    `lanes_skipped`, and the dumps must stay byte-identical at every
-//!    K — including under the PR 8 global-lookahead baseline arm,
-//!    which dispatches every lane every round.
+//!    K, on serial and threaded lanes alike.
 
 use catenet::sim::{Duration, FaultAction, FaultPlan, Instant, LinkClass};
 use catenet::stack::app::{CbrSink, CbrSource};
 use catenet::stack::iface::Framing;
 use catenet::stack::{Endpoint, Network, ShardKind, ShardStats};
 
-/// h0 — g1 —(zero-propagation trunk)— g2 — h3, CBR both ways. With
-/// K = 2 the boundary falls between g1 and g2, exactly on the
-/// zero-latency link.
+/// h0 — g1 — g2 — h3 over zero-propagation Ethernet links, CBR both
+/// ways. Every link is zero-latency, so no boundary can avoid one: with
+/// K = 2 the partitioner keeps the balanced split, between g1 and g2.
 fn zero_boundary_net(seed: u64, shard: ShardKind) -> Network {
     let mut net = Network::with_shards(seed, shard);
     let h0 = net.add_host("h0");
     let g1 = net.add_gateway("g1");
     let g2 = net.add_gateway("g2");
     let h3 = net.add_host("h3");
-    net.connect(h0, g1, LinkClass::EthernetLan);
     let mut zero = LinkClass::EthernetLan.params();
     zero.propagation = Duration::ZERO;
     zero.jitter = Duration::ZERO;
-    net.connect_with(g1, g2, zero, Framing::Ethernet);
-    net.connect(g2, h3, LinkClass::EthernetLan);
+    for (a, b) in [(h0, g1), (g1, g2), (g2, h3)] {
+        net.connect_with(a, b, zero.clone(), Framing::Ethernet);
+    }
     let a0 = net.node(h0).primary_addr();
     let a3 = net.node(h3).primary_addr();
     net.attach_app(h3, Box::new(CbrSink::new(5000)));
@@ -78,17 +77,18 @@ fn zero_latency_boundary_link_is_byte_identical_and_counted() {
     let run = |shard| {
         let mut net = zero_boundary_net(7, shard);
         net.run_for(Duration::from_secs(5));
-        (dumps(&net), net.shard_stats())
+        (dumps(&net), net.shard_stats(), net.lane_bounds())
     };
-    let (reference, single_stats) = run(ShardKind::Single);
+    let (reference, single_stats, _) = run(ShardKind::Single);
     // The single-lane arm never touches the window counters.
     assert_eq!(single_stats, ShardStats::default());
     for shard in [
         ShardKind::Sharded { shards: 2 },
         ShardKind::Parallel { shards: 2 },
     ] {
-        let (d, stats) = run(shard);
+        let (d, stats, bounds) = run(shard);
         assert_eq!(d, reference, "dumps diverged under {shard:?}");
+        assert_eq!(bounds, [(0, 2), (2, 4)], "the cut falls on g1 — g2");
         assert!(stats.windows > 0, "rounds ran under {shard:?}");
         // The receiving lane's window collapses to the round-start
         // instant nearly every round: the peer's next event plus the
@@ -180,19 +180,15 @@ fn dense_plan(trunks: &[usize]) -> FaultPlan {
 
 #[test]
 fn dense_fault_plan_is_byte_identical_and_batches_dispatch() {
-    let run = |shard, global: bool| {
+    let run = |shard| {
         let (mut net, trunks) = ring_net(21, shard);
-        if global {
-            net.set_global_lookahead(true);
-        }
         net.attach_fault_plan(dense_plan(&trunks));
         net.run_for(Duration::from_secs(15));
         (dumps(&net), net.shard_stats())
     };
-    let (reference, _) = run(ShardKind::Single, false);
-    let mut per_pair_skipped = 0;
+    let (reference, _) = run(ShardKind::Single);
     for k in [2usize, 4] {
-        let (d, stats) = run(ShardKind::Sharded { shards: k }, false);
+        let (d, stats) = run(ShardKind::Sharded { shards: k });
         assert_eq!(d, reference, "dumps diverged at K={k}");
         // Batching: every plan instant carries two fault actions and
         // both land in one coordinator interruption, so applied ops
@@ -216,23 +212,9 @@ fn dense_fault_plan_is_byte_identical_and_batches_dispatch() {
         // Trunk-only cuts: no window collapses (contrast with the
         // zero-latency boundary test above).
         assert_eq!(stats.collapsed, 0, "T1 cuts never collapse: {stats:?}");
-        if k == 2 {
-            per_pair_skipped = stats.lanes_skipped;
-        }
     }
-    // The PR 8 baseline arm on the same topology: byte-identical too,
-    // but it dispatches every lane every round — the A/B that shows
-    // what batched dispatch saves.
-    let (d, stats) = run(ShardKind::Sharded { shards: 2 }, true);
-    assert_eq!(d, reference, "global-lookahead arm diverged");
-    assert_eq!(stats.lanes_skipped, 0, "baseline runs every lane: {stats:?}");
-    assert_eq!(stats.lanes_dispatched, stats.windows * 2);
-    assert!(
-        per_pair_skipped > 0,
-        "per-pair arm skipped lanes where the baseline could not"
-    );
     // Threaded arm: same bytes, same skipping, through real threads.
-    let (d, stats) = run(ShardKind::Parallel { shards: 2 }, false);
+    let (d, stats) = run(ShardKind::Parallel { shards: 2 });
     assert_eq!(d, reference, "threaded arm diverged");
     assert!(stats.lanes_skipped > 0);
 }
