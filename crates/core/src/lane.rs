@@ -44,7 +44,7 @@ use crate::node::Node;
 use crate::pool::{PacketBuf, PacketPool};
 use catenet_sim::{Duration, Instant, Link, LinkOutcome, Rng, Scheduler};
 use catenet_wire::Ipv4Address;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::network::{FrameTap, LinkId, NodeId};
 
@@ -240,6 +240,10 @@ pub(crate) struct Slot {
     pub event_seq: u64,
     /// Service passes executed (one per same-instant batch).
     pub service_count: u64,
+    /// The link behind each interface, by interface index, and whether
+    /// this node is its `a` end. `None` (or past the end) for an
+    /// interface with no link attached.
+    pub iface_links: Vec<Option<(LinkId, bool)>>,
     /// Byzantine corruption state (see `FaultAction::Compromise`): the
     /// liar's outgoing RIP frames are rewritten in [`LaneView::transmit`],
     /// after the node honestly computed them.
@@ -268,6 +272,7 @@ impl Slot {
             next_wake: None,
             event_seq: 0,
             service_count: 0,
+            iface_links: Vec::new(),
             byz: None,
             last_dv_version: 0,
             last_rto_total: 0,
@@ -290,7 +295,6 @@ pub(crate) struct LaneView<'a> {
     pub lane_index: usize,
     /// Nodes `lane.lo..lane.hi`.
     pub slots: &'a mut [Slot],
-    pub endpoint_index: &'a HashMap<(NodeId, usize), (LinkId, bool)>,
     pub links_meta: &'a [LinkMeta],
     pub link_home: &'a [[(u32, u32); 2]],
     pub lane_of: &'a [u32],
@@ -416,14 +420,14 @@ impl LaneView<'_> {
     /// deliveries go straight into the lane scheduler; cross-lane
     /// deliveries are buffered for the barrier.
     pub fn transmit(&mut self, from: NodeId, iface: usize, mut frame: PacketBuf, now: Instant) {
-        let Some(&(link_id, is_a)) = self.endpoint_index.get(&(from, iface)) else {
+        let slot = &mut self.slots[from - self.lane.lo];
+        let Some(&Some((link_id, is_a))) = slot.iface_links.get(iface) else {
             self.lane.unconnected_drops += 1;
             return;
         };
         // A compromised node lies on the wire, not in its own state:
         // the rewrite happens here so the tap (and the receiver) see
         // exactly what a byzantine gateway would have emitted.
-        let slot = &mut self.slots[from - self.lane.lo];
         if let Some(state) = slot.byz.as_mut() {
             let framing = slot.node.ifaces[iface].framing;
             if let Some(corrupted) = state.corrupt_frame(iface, framing, &frame) {

@@ -37,7 +37,6 @@ use catenet_sim::{
 };
 use catenet_telemetry::{EventKind, Scope, Telemetry};
 use catenet_wire::{EthernetAddress, Ipv4Address, Ipv4Cidr};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Index of a node within the network.
@@ -69,7 +68,6 @@ pub struct Network {
     /// Where each directed link lives: `link_home[id][0]` is the
     /// `(lane, index)` of the a→b direction, `[1]` of b→a.
     link_home: Vec<[(u32, u32); 2]>,
-    endpoint_index: HashMap<(NodeId, usize), (LinkId, bool)>,
     /// The execution lanes. Exactly one (covering every node) until a
     /// `Sharded`/`Parallel` network splits at its first `run_until`.
     lanes: Vec<Lane>,
@@ -176,7 +174,6 @@ impl Network {
             slots: Vec::new(),
             links_meta: Vec::new(),
             link_home: Vec::new(),
-            endpoint_index: HashMap::new(),
             lanes: vec![Lane::new(0, 0, Scheduler::with_kind(kind), pool.clone())],
             lane_of: Vec::new(),
             seed,
@@ -509,8 +506,13 @@ impl Network {
             rng: LaneLink::seeded(self.seed, link_id, false),
         });
         self.link_home.push([(0, idx), (0, idx + 1)]);
-        self.endpoint_index.insert((a, iface_a), (link_id, true));
-        self.endpoint_index.insert((b, iface_b), (link_id, false));
+        for (node, iface, is_a) in [(a, iface_a, true), (b, iface_b, false)] {
+            let ends = &mut self.slots[node].iface_links;
+            if ends.len() <= iface {
+                ends.resize(iface + 1, None);
+            }
+            ends[iface] = Some((link_id, is_a));
+        }
         // Register the new subnet before the kicks below make routing
         // announce it — the triggered update must go out signed.
         self.redistribute_attestation();
@@ -1070,7 +1072,6 @@ impl Network {
             lane,
             lane_index,
             slots: &mut self.slots[lo..hi],
-            endpoint_index: &self.endpoint_index,
             links_meta: &self.links_meta,
             link_home: &self.link_home,
             lane_of: &self.lane_of,
@@ -1093,7 +1094,6 @@ impl Network {
                     lane,
                     lane_index,
                     slots,
-                    endpoint_index: &self.endpoint_index,
                     links_meta: &self.links_meta,
                     link_home: &self.link_home,
                     lane_of: &self.lane_of,

@@ -7,21 +7,97 @@
 //! a pause. The table is generic over its next-hop type `M` so the same
 //! structure backs static host routes and the distance-vector protocol's
 //! metric-bearing entries.
+//!
+//! The table keeps one bucket per prefix length present, longest first.
+//! A bucket holds its routes in insertion order plus a hash index keyed
+//! by the masked network address, so exact-prefix access is one probe
+//! and a longest-prefix match probes each present length once, whatever
+//! the table size.
+//!
+//! Iteration order is part of the contract: longest prefix first, then
+//! insertion order within a length. Replacing a prefix keeps its place;
+//! a new (or removed and re-inserted) prefix goes to the end of its
+//! length. RIP encodes advertisements in this order, so simulated bytes
+//! depend on it.
 
 use catenet_wire::{Ipv4Address, Ipv4Cidr};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative hashing for keys that are already-masked `u32`
+/// network addresses: no SipHash, no per-map random state.
+#[derive(Debug, Default, Clone, Copy)]
+struct NetHasher(u64);
+
+impl Hasher for NetHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(byte)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The high half of the product mixes every key bit; move it to
+        // the low bits the map indexes with (masked keys end in zeros).
+        self.0.rotate_left(32)
+    }
+}
+
+type NetIndex = HashMap<u32, usize, BuildHasherDefault<NetHasher>>;
+
+/// The routes of one prefix length.
+#[derive(Debug, Clone)]
+struct Bucket<M> {
+    prefix_len: u8,
+    mask: u32,
+    /// Insertion order.
+    entries: Vec<(Ipv4Cidr, M)>,
+    /// Masked network address → position in `entries`.
+    index: NetIndex,
+}
+
+impl<M> Bucket<M> {
+    fn new(prefix_len: u8) -> Bucket<M> {
+        Bucket {
+            prefix_len,
+            mask: u32::MAX
+                .checked_shl(32 - u32::from(prefix_len))
+                .unwrap_or(0),
+            entries: Vec::new(),
+            index: NetIndex::default(),
+        }
+    }
+
+    fn find(&self, network: u32) -> Option<usize> {
+        self.index.get(&network).copied()
+    }
+
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (pos, (prefix, _)) in self.entries.iter().enumerate() {
+            self.index.insert(prefix.address().to_u32(), pos);
+        }
+    }
+}
 
 /// A routing table mapping CIDR prefixes to values of type `M`.
 #[derive(Debug, Clone)]
 pub struct RoutingTable<M> {
-    /// Entries sorted by descending prefix length, so the first match in
-    /// iteration order is the longest match.
-    entries: Vec<(Ipv4Cidr, M)>,
+    /// One non-empty bucket per prefix length present, longest first, so
+    /// the first match in iteration order is the longest match.
+    buckets: Vec<Bucket<M>>,
+    len: usize,
 }
 
 impl<M> Default for RoutingTable<M> {
     fn default() -> Self {
         RoutingTable {
-            entries: Vec::new(),
+            buckets: Vec::new(),
+            len: 0,
         }
     }
 }
@@ -34,98 +110,144 @@ impl<M> RoutingTable<M> {
 
     /// Number of routes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
+    }
+
+    fn bucket(&self, prefix_len: u8) -> Option<&Bucket<M>> {
+        self.buckets.iter().find(|b| b.prefix_len == prefix_len)
+    }
+
+    fn bucket_mut(&mut self, prefix_len: u8) -> Option<&mut Bucket<M>> {
+        self.buckets.iter_mut().find(|b| b.prefix_len == prefix_len)
     }
 
     /// Insert or replace the route for exactly `prefix`.
     /// Returns the previous value if one was replaced.
     pub fn insert(&mut self, prefix: Ipv4Cidr, value: M) -> Option<M> {
         let prefix = prefix.network();
-        match self
-            .entries
-            .iter_mut()
-            .find(|(existing, _)| *existing == prefix)
-        {
-            Some((_, slot)) => Some(core::mem::replace(slot, value)),
-            None => {
-                let pos = self
-                    .entries
-                    .partition_point(|(existing, _)| existing.prefix_len() >= prefix.prefix_len());
-                self.entries.insert(pos, (prefix, value));
-                None
-            }
+        let len = prefix.prefix_len();
+        let at = self.buckets.partition_point(|b| b.prefix_len > len);
+        if self.buckets.get(at).is_none_or(|b| b.prefix_len != len) {
+            self.buckets.insert(at, Bucket::new(len));
         }
+        let bucket = &mut self.buckets[at];
+        let network = prefix.address().to_u32();
+        if let Some(pos) = bucket.find(network) {
+            return Some(core::mem::replace(&mut bucket.entries[pos].1, value));
+        }
+        bucket.index.insert(network, bucket.entries.len());
+        bucket.entries.push((prefix, value));
+        self.len += 1;
+        None
     }
 
     /// Remove the route for exactly `prefix`, returning its value.
     pub fn remove(&mut self, prefix: &Ipv4Cidr) -> Option<M> {
         let prefix = prefix.network();
-        let pos = self
-            .entries
+        let at = self
+            .buckets
             .iter()
-            .position(|(existing, _)| *existing == prefix)?;
-        Some(self.entries.remove(pos).1)
+            .position(|b| b.prefix_len == prefix.prefix_len())?;
+        let bucket = &mut self.buckets[at];
+        let pos = bucket.index.remove(&prefix.address().to_u32())?;
+        let (_, value) = bucket.entries.remove(pos);
+        for later in bucket.index.values_mut().filter(|later| **later > pos) {
+            *later -= 1;
+        }
+        if bucket.entries.is_empty() {
+            self.buckets.remove(at);
+        }
+        self.len -= 1;
+        Some(value)
     }
 
     /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: Ipv4Address) -> Option<&M> {
-        self.entries
-            .iter()
-            .find(|(prefix, _)| prefix.contains(addr))
-            .map(|(_, value)| value)
+        self.lookup_entry(addr).map(|(_, value)| value)
     }
 
     /// Longest-prefix-match lookup returning the matched prefix too.
     pub fn lookup_entry(&self, addr: Ipv4Address) -> Option<(&Ipv4Cidr, &M)> {
-        self.entries
-            .iter()
-            .find(|(prefix, _)| prefix.contains(addr))
-            .map(|(prefix, value)| (prefix, value))
+        let addr = addr.to_u32();
+        self.buckets.iter().find_map(|b| {
+            let (prefix, value) = &b.entries[b.find(addr & b.mask)?];
+            Some((prefix, value))
+        })
     }
 
     /// The value stored for exactly `prefix`, if any.
     pub fn get(&self, prefix: &Ipv4Cidr) -> Option<&M> {
         let prefix = prefix.network();
-        self.entries
-            .iter()
-            .find(|(existing, _)| *existing == prefix)
-            .map(|(_, value)| value)
+        let bucket = self.bucket(prefix.prefix_len())?;
+        let pos = bucket.find(prefix.address().to_u32())?;
+        Some(&bucket.entries[pos].1)
     }
 
     /// Mutable access to the value stored for exactly `prefix`.
     pub fn get_mut(&mut self, prefix: &Ipv4Cidr) -> Option<&mut M> {
         let prefix = prefix.network();
-        self.entries
-            .iter_mut()
-            .find(|(existing, _)| *existing == prefix)
-            .map(|(_, value)| value)
+        let bucket = self.bucket_mut(prefix.prefix_len())?;
+        let pos = bucket.find(prefix.address().to_u32())?;
+        Some(&mut bucket.entries[pos].1)
+    }
+
+    /// Where exactly `prefix` sits in [`iter`](Self::iter) order, if
+    /// present. Positions shift when routes are removed, so compare
+    /// them only within one unmodified state of the table.
+    pub fn position(&self, prefix: &Ipv4Cidr) -> Option<usize> {
+        let prefix = prefix.network();
+        let network = prefix.address().to_u32();
+        let mut before = 0;
+        for bucket in &self.buckets {
+            if bucket.prefix_len == prefix.prefix_len() {
+                return bucket.find(network).map(|pos| before + pos);
+            }
+            before += bucket.entries.len();
+        }
+        None
     }
 
     /// Iterate over `(prefix, value)` pairs, longest prefixes first.
     pub fn iter(&self) -> impl Iterator<Item = (&Ipv4Cidr, &M)> {
-        self.entries.iter().map(|(prefix, value)| (prefix, value))
+        self.buckets
+            .iter()
+            .flat_map(|b| b.entries.iter().map(|(prefix, value)| (prefix, value)))
     }
 
-    /// Iterate mutably over `(prefix, value)` pairs.
+    /// Iterate mutably over `(prefix, value)` pairs, in `iter` order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&Ipv4Cidr, &mut M)> {
-        self.entries
-            .iter_mut()
-            .map(|(prefix, value)| (&*prefix, value))
+        self.buckets.iter_mut().flat_map(|b| {
+            b.entries
+                .iter_mut()
+                .map(|(prefix, value)| (&*prefix, value))
+        })
     }
 
-    /// Remove every entry for which `keep` returns false.
+    /// Remove every entry for which `keep` returns false, visiting in
+    /// `iter` order.
     pub fn retain(&mut self, mut keep: impl FnMut(&Ipv4Cidr, &mut M) -> bool) {
-        self.entries.retain_mut(|(prefix, value)| keep(prefix, value));
+        for bucket in &mut self.buckets {
+            let before = bucket.entries.len();
+            bucket
+                .entries
+                .retain_mut(|(prefix, value)| keep(prefix, value));
+            if bucket.entries.len() != before {
+                self.len -= before - bucket.entries.len();
+                bucket.reindex();
+            }
+        }
+        self.buckets.retain(|b| !b.entries.is_empty());
     }
 
     /// Remove all routes.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.buckets.clear();
+        self.len = 0;
     }
 }
 
@@ -224,6 +346,7 @@ mod tests {
         table.retain(|_, metric| *metric % 2 == 1);
         assert_eq!(table.len(), 2);
         assert_eq!(table.lookup(addr("11.0.0.1")), None);
+        assert_eq!(table.lookup(addr("12.0.0.1")), Some(&3));
     }
 
     #[test]
@@ -234,6 +357,23 @@ mod tests {
         table.insert(cidr("10.0.0.0/8"), 8);
         let lens: Vec<u8> = table.iter().map(|(p, _)| p.prefix_len()).collect();
         assert_eq!(lens, vec![24, 8, 0]);
+    }
+
+    #[test]
+    fn order_within_a_length_is_insertion_order() {
+        let mut table = RoutingTable::new();
+        for net in ["10.3.0.0/16", "10.1.0.0/16", "10.2.0.0/16"] {
+            table.insert(cidr(net), ());
+        }
+        // Replacing keeps the place; removing and re-inserting moves
+        // the prefix to the end of its length.
+        table.insert(cidr("10.3.0.0/16"), ());
+        table.remove(&cidr("10.1.0.0/16"));
+        table.insert(cidr("10.1.0.0/16"), ());
+        let order: Vec<String> = table.iter().map(|(p, _)| p.to_string()).collect();
+        assert_eq!(order, ["10.3.0.0/16", "10.2.0.0/16", "10.1.0.0/16"]);
+        assert_eq!(table.position(&cidr("10.2.0.0/16")), Some(1));
+        assert_eq!(table.position(&cidr("10.9.0.0/16")), None);
     }
 
     #[test]

@@ -141,6 +141,16 @@ pub struct DvEngine {
     next_periodic: Instant,
     /// Set when any route changed; cleared when advertisements are taken.
     trigger_pending: bool,
+    /// A lower bound on every route's `expires_at`: before it, [`tick`]
+    /// has nothing to expire and returns at once.
+    ///
+    /// [`tick`]: DvEngine::tick
+    next_expiry: Instant,
+    /// Every prefix whose `changed` flag was set since the last
+    /// advertisement round, in marking order. A prefix can appear more
+    /// than once (dropped and re-learned within one round, say);
+    /// readers deduplicate.
+    dirty: Vec<Ipv4Cidr>,
     /// Messages processed (for the overhead accounting in E4).
     pub updates_received: u64,
     /// Route changes applied.
@@ -167,6 +177,8 @@ impl DvEngine {
             table: RoutingTable::new(),
             next_periodic: Instant::ZERO,
             trigger_pending: false,
+            next_expiry: Instant::FAR_FUTURE,
+            dirty: Vec::new(),
             updates_received: 0,
             changes_applied: 0,
             version: 0,
@@ -215,6 +227,7 @@ impl DvEngine {
 
     /// Declare a directly connected network on `iface`.
     pub fn add_connected(&mut self, prefix: Ipv4Cidr, iface: usize) {
+        self.dirty.push(prefix.network());
         self.table.insert(
             prefix,
             DvRoute {
@@ -233,12 +246,18 @@ impl DvEngine {
 
     /// Withdraw a connected network (interface went down).
     pub fn remove_connected(&mut self, prefix: &Ipv4Cidr) {
-        if let Some(route) = self.table.get_mut(prefix) {
+        let prefix = prefix.network();
+        if let Some(route) = self.table.get_mut(&prefix) {
             if matches!(route.next_hop, NextHop::Connected { .. }) {
                 route.metric = INFINITY_METRIC;
-                route.changed = true;
-                // Hold at infinity for one GC period so neighbors hear it.
+                mark_changed(&mut self.dirty, &prefix, route);
+                // Already expired: the next `tick` drops the route
+                // outright instead of holding it at infinity for a GC
+                // period. The owner ticks before it advertises, so
+                // neighbors never hear this poison and learn of the loss
+                // only by timeout (an open defect, see ROADMAP.md).
                 route.expires_at = Instant::ZERO;
+                self.next_expiry = Instant::ZERO;
                 self.trigger_pending = true;
                 self.version += 1;
             }
@@ -252,15 +271,16 @@ impl DvEngine {
     pub fn fail_iface(&mut self, iface: usize, now: Instant) {
         let gc = self.config.gc_timeout;
         let mut changed = false;
-        for (_, route) in self.table.iter_mut() {
+        for (prefix, route) in self.table.iter_mut() {
             if route.next_hop.iface() == iface && route.metric < INFINITY_METRIC {
                 route.metric = INFINITY_METRIC;
-                route.changed = true;
+                mark_changed(&mut self.dirty, prefix, route);
                 route.expires_at = now + gc;
                 changed = true;
             }
         }
         if changed {
+            self.next_expiry = self.next_expiry.min(now + gc);
             self.trigger_pending = true;
             self.version += 1;
         }
@@ -322,6 +342,8 @@ impl DvEngine {
             entries
         };
         let mut changed_any = false;
+        let timeout = now + self.config.route_timeout;
+        let gc = now + self.config.gc_timeout;
         for entry in entries {
             let advertised = entry.metric.saturating_add(1).min(INFINITY_METRIC);
             let prefix = entry.prefix.network();
@@ -334,29 +356,33 @@ impl DvEngine {
                     }
                     if from_same_gateway {
                         // Our current next hop speaks: always believe it.
-                        route.expires_at = now + self.config.route_timeout;
+                        route.expires_at = timeout;
                         // Take the refreshed attestation even when the
                         // metric is unchanged: the origin's serial keeps
                         // advancing and downstream verifiers track it.
                         route.attestation = entry.attestation;
                         if route.metric != advertised {
                             route.metric = advertised;
-                            route.changed = true;
+                            mark_changed(&mut self.dirty, &prefix, route);
                             changed_any = true;
                             if advertised >= INFINITY_METRIC {
-                                route.expires_at = now + self.config.gc_timeout;
+                                route.expires_at = gc;
                             }
                         }
                     } else if advertised < route.metric {
+                        mark_changed(&mut self.dirty, &prefix, route);
                         *route = DvRoute {
                             next_hop: NextHop::Via { gateway, iface },
                             metric: advertised,
-                            expires_at: now + self.config.route_timeout,
+                            expires_at: timeout,
                             changed: true,
                             attestation: entry.attestation,
                         };
                         changed_any = true;
+                    } else {
+                        continue;
                     }
+                    self.next_expiry = self.next_expiry.min(route.expires_at);
                 }
                 None => {
                     if advertised < INFINITY_METRIC {
@@ -365,11 +391,13 @@ impl DvEngine {
                             DvRoute {
                                 next_hop: NextHop::Via { gateway, iface },
                                 metric: advertised,
-                                expires_at: now + self.config.route_timeout,
+                                expires_at: timeout,
                                 changed: true,
                                 attestation: entry.attestation,
                             },
                         );
+                        self.dirty.push(prefix);
+                        self.next_expiry = self.next_expiry.min(timeout);
                         changed_any = true;
                     }
                 }
@@ -384,28 +412,33 @@ impl DvEngine {
     }
 
     /// Expire silent routes and collect garbage. Call at least once per
-    /// update interval.
+    /// update interval. Costs nothing until the earliest deadline.
     pub fn tick(&mut self, now: Instant) {
+        if now < self.next_expiry {
+            return;
+        }
         let gc = self.config.gc_timeout;
         let mut newly_dead = false;
-        let before = self.table.iter().count();
-        self.table.retain(|_, route| {
-            if route.expires_at > now {
-                return true;
-            }
-            if route.metric < INFINITY_METRIC {
+        let mut next_expiry = Instant::FAR_FUTURE;
+        let before = self.table.len();
+        let dirty = &mut self.dirty;
+        self.table.retain(|prefix, route| {
+            if route.expires_at <= now {
+                if route.metric >= INFINITY_METRIC {
+                    // Already at infinity and GC expired: drop.
+                    return false;
+                }
                 // Newly dead: hold at infinity through a GC period.
                 route.metric = INFINITY_METRIC;
-                route.changed = true;
+                mark_changed(dirty, prefix, route);
                 route.expires_at = now + gc;
                 newly_dead = true;
-                true
-            } else {
-                // Already at infinity and GC expired: drop.
-                false
             }
+            next_expiry = next_expiry.min(route.expires_at);
+            true
         });
-        let dropped = before != self.table.iter().count();
+        self.next_expiry = next_expiry;
+        let dropped = before != self.table.len();
         if newly_dead {
             self.trigger_pending = true;
         }
@@ -432,58 +465,85 @@ impl DvEngine {
     /// Build the advertisement for the neighbor reached via `iface`,
     /// applying split horizon / poisoned reverse and the export policy.
     /// `full` selects between a complete table (periodic) and only
-    /// changed routes (triggered).
+    /// changed routes (triggered). Both list routes in table order; the
+    /// triggered form visits only the dirty list, not the whole table.
     pub fn advertisement_for(
         &self,
         iface: usize,
         policy: &ExportPolicy,
         full: bool,
     ) -> Vec<RipEntry> {
-        let mut entries = Vec::new();
-        for (prefix, route) in self.table.iter() {
-            if !full && !route.changed {
-                continue;
-            }
-            if !policy.permits(prefix) {
-                continue;
-            }
-            let learned_here = route.next_hop.iface() == iface
-                && !matches!(route.next_hop, NextHop::Connected { .. });
-            let metric = if learned_here && self.config.split_horizon {
-                if self.config.poisoned_reverse {
-                    INFINITY_METRIC
-                } else {
-                    continue;
-                }
-            } else {
-                route.metric
-            };
-            // Attach provenance: connected prefixes get a fresh
-            // signature at the current serial, learned routes relay the
-            // stored attestation unchanged (a gateway can only vouch for
-            // what it owns). Unreachable entries claim nothing and
-            // carry nothing.
-            let attestation = if metric >= INFINITY_METRIC {
-                None
-            } else if matches!(route.next_hop, NextHop::Connected { .. }) {
-                self.attestor.as_ref().map(|a| a.sign(*prefix))
-            } else {
-                route.attestation
-            };
-            entries.push(RipEntry {
-                prefix: *prefix,
-                metric,
-                attestation,
-            });
+        if full {
+            return self
+                .table
+                .iter()
+                .filter_map(|(prefix, route)| self.entry_for(iface, policy, prefix, route))
+                .collect();
         }
-        entries
+        let mut changed: Vec<(usize, &Ipv4Cidr)> = self
+            .dirty
+            .iter()
+            .filter_map(|prefix| Some((self.table.position(prefix)?, prefix)))
+            .collect();
+        changed.sort_unstable_by_key(|&(pos, _)| pos);
+        changed.dedup_by_key(|&mut (pos, _)| pos);
+        changed
+            .into_iter()
+            .filter_map(|(_, prefix)| {
+                let route = self.table.get(prefix).filter(|route| route.changed)?;
+                self.entry_for(iface, policy, prefix, route)
+            })
+            .collect()
+    }
+
+    /// The entry advertising `route` toward `iface`, if it is to be
+    /// advertised there at all.
+    fn entry_for(
+        &self,
+        iface: usize,
+        policy: &ExportPolicy,
+        prefix: &Ipv4Cidr,
+        route: &DvRoute,
+    ) -> Option<RipEntry> {
+        if !policy.permits(prefix) {
+            return None;
+        }
+        let learned_here =
+            route.next_hop.iface() == iface && !matches!(route.next_hop, NextHop::Connected { .. });
+        let metric = if learned_here && self.config.split_horizon {
+            if !self.config.poisoned_reverse {
+                return None;
+            }
+            INFINITY_METRIC
+        } else {
+            route.metric
+        };
+        // Attach provenance: connected prefixes get a fresh
+        // signature at the current serial, learned routes relay the
+        // stored attestation unchanged (a gateway can only vouch for
+        // what it owns). Unreachable entries claim nothing and
+        // carry nothing.
+        let attestation = if metric >= INFINITY_METRIC {
+            None
+        } else if matches!(route.next_hop, NextHop::Connected { .. }) {
+            self.attestor.as_ref().map(|a| a.sign(*prefix))
+        } else {
+            route.attestation
+        };
+        Some(RipEntry {
+            prefix: *prefix,
+            metric,
+            attestation,
+        })
     }
 
     /// Mark the advertisement round complete: clears change flags and
     /// schedules the next periodic update.
     pub fn advertisements_sent(&mut self, now: Instant) {
-        for (_, route) in self.table.iter_mut() {
-            route.changed = false;
+        for prefix in self.dirty.drain(..) {
+            if let Some(route) = self.table.get_mut(&prefix) {
+                route.changed = false;
+            }
         }
         self.trigger_pending = false;
         self.next_periodic = now + self.config.update_interval;
@@ -499,15 +559,26 @@ impl DvEngine {
     /// re-declared by the owner on reboot — which is trivial, because
     /// they are configuration, not conversation state.
     pub fn clear(&mut self) {
-        if self.table.iter().next().is_some() {
+        if !self.table.is_empty() {
             self.version += 1;
         }
         self.table.clear();
+        self.dirty.clear();
+        self.next_expiry = Instant::FAR_FUTURE;
         self.trigger_pending = false;
         self.next_periodic = Instant::ZERO;
         // Guard history is volatile too — fate-sharing — but the
         // policy itself is configuration and survives the reboot.
         self.guard.reset();
+    }
+}
+
+/// Set `route.changed`, recording `prefix` in the dirty list the first
+/// time the flag goes up in a round.
+fn mark_changed(dirty: &mut Vec<Ipv4Cidr>, prefix: &Ipv4Cidr, route: &mut DvRoute) {
+    if !route.changed {
+        route.changed = true;
+        dirty.push(*prefix);
     }
 }
 
@@ -900,6 +971,104 @@ mod tests {
         let ads = b.advertisement_for(1, &ExportPolicy::All, true);
         c.handle_update(b_addr_bc, 0, &ads, now);
         assert!(c.lookup(addr("10.1.5.5")).is_none(), "poison reached C");
+    }
+
+    /// The triggered advertisement (built from the dirty list) must be
+    /// the full one filtered to changed routes, and `tick` must leave no
+    /// route at or past its deadline, whatever the operation history.
+    #[test]
+    fn dirty_list_and_expiry_bound_match_full_scans() {
+        use catenet_sim::Rng;
+        let nets: Vec<Ipv4Cidr> = (0..300u32)
+            .map(|i| match i % 10 {
+                0 => Ipv4Cidr::new(Ipv4Address::from_u32(0x0a00_0000 | i << 16), 16),
+                9 => Ipv4Cidr::new(Ipv4Address::from_u32(0xac10_0000 | i << 2), 30),
+                _ => Ipv4Cidr::new(Ipv4Address::from_u32(0x0a80_0000 | i << 8), 24),
+            })
+            .collect();
+        let gateway = |iface: usize| Ipv4Address::new(10, 0, iface as u8, 2);
+        let policies = [
+            ExportPolicy::All,
+            ExportPolicy::Only(vec![cidr("10.128.0.0/9")]),
+        ];
+        for case in 0..24u64 {
+            let mut rng = Rng::from_seed(0xd1e7 ^ case);
+            let mut config = DvConfig::fast();
+            config.poisoned_reverse = case % 3 != 0;
+            let gc = config.gc_timeout;
+            let mut dv = DvEngine::new(config);
+            let mut now = Instant::ZERO;
+            // The last twelve prefixes are left to the re-learn arm.
+            let (nets, relearn) = nets.split_at(nets.len() - 12);
+            let pick = |rng: &mut Rng| nets[rng.below(nets.len() as u64) as usize];
+            for op in 0..400 {
+                now += Duration::from_millis(rng.below(1500));
+                let mut ticked = false;
+                match rng.below(100) {
+                    0..=2 => dv.add_connected(pick(&mut rng), rng.below(4) as usize),
+                    3..=5 => dv.remove_connected(&pick(&mut rng)),
+                    6..=7 => dv.fail_iface(rng.below(4) as usize, now),
+                    8..=59 => {
+                        let iface = rng.below(4) as usize;
+                        let entries: Vec<RipEntry> = (0..rng.range(1, 40))
+                            .map(|_| {
+                                let prefix = pick(&mut rng);
+                                // Refresh, better, worse or poison.
+                                let metric = match (rng.below(4), dv.table.get(&prefix)) {
+                                    (0, Some(r)) => r.metric.saturating_sub(1),
+                                    (1, _) => INFINITY_METRIC,
+                                    _ => rng.below(u64::from(INFINITY_METRIC)) as u8,
+                                };
+                                RipEntry::new(prefix, metric)
+                            })
+                            .collect();
+                        dv.handle_update(gateway(iface), iface, &entries, now);
+                    }
+                    60..=79 => {
+                        dv.tick(now);
+                        ticked = true;
+                    }
+                    80..=93 => dv.advertisements_sent(now),
+                    94..=98 => {
+                        // GC drop, then re-learn, inside one round.
+                        let which = rng.below(relearn.len() as u64) as usize;
+                        let (prefix, iface) = (relearn[which], which % 4);
+                        let entry = [RipEntry::new(prefix, 3)];
+                        dv.handle_update(gateway(iface), iface, &entry, now);
+                        dv.fail_iface(iface, now);
+                        now += gc;
+                        dv.tick(now);
+                        assert!(
+                            dv.table.get(&prefix).is_none(),
+                            "case {case} op {op}: dropped"
+                        );
+                        dv.handle_update(gateway(iface), iface, &entry, now);
+                        ticked = true;
+                    }
+                    _ => dv.clear(),
+                }
+                if ticked {
+                    assert!(
+                        dv.routes().all(|(_, r)| r.expires_at > now),
+                        "case {case} op {op}: tick left an expired route"
+                    );
+                }
+                for iface in 0..4 {
+                    for policy in &policies {
+                        let full = dv.advertisement_for(iface, policy, true);
+                        let expected: Vec<RipEntry> = full
+                            .into_iter()
+                            .filter(|e| dv.table.get(&e.prefix).is_some_and(|r| r.changed))
+                            .collect();
+                        assert_eq!(
+                            dv.advertisement_for(iface, policy, false),
+                            expected,
+                            "case {case} op {op} iface {iface}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     use catenet_auth::{MacKey, OriginId};

@@ -237,31 +237,126 @@ fn seq_number_ordering_antisymmetric() {
     }
 }
 
+/// The linear table the indexed `RoutingTable` replaced, kept as its
+/// oracle: one `Vec` sorted by descending prefix length, every operation
+/// a scan. A new prefix goes to the end of its length; a replaced one
+/// keeps its place.
+#[derive(Default)]
+struct NaiveTable(Vec<(Ipv4Cidr, u16)>);
+
+impl NaiveTable {
+    fn insert(&mut self, prefix: Ipv4Cidr, value: u16) -> Option<u16> {
+        let prefix = prefix.network();
+        if let Some(slot) = self.get_mut(&prefix) {
+            return Some(core::mem::replace(slot, value));
+        }
+        let pos = self
+            .0
+            .partition_point(|(existing, _)| existing.prefix_len() >= prefix.prefix_len());
+        self.0.insert(pos, (prefix, value));
+        None
+    }
+
+    fn remove(&mut self, prefix: &Ipv4Cidr) -> Option<u16> {
+        let pos = self.0.iter().position(|(p, _)| *p == prefix.network())?;
+        Some(self.0.remove(pos).1)
+    }
+
+    fn get(&self, prefix: &Ipv4Cidr) -> Option<&u16> {
+        let prefix = prefix.network();
+        self.0.iter().find(|(p, _)| *p == prefix).map(|(_, v)| v)
+    }
+
+    fn get_mut(&mut self, prefix: &Ipv4Cidr) -> Option<&mut u16> {
+        let prefix = prefix.network();
+        self.0
+            .iter_mut()
+            .find(|(p, _)| *p == prefix)
+            .map(|(_, v)| v)
+    }
+
+    fn lookup_entry(&self, addr: Ipv4Address) -> Option<(&Ipv4Cidr, &u16)> {
+        self.0
+            .iter()
+            .find(|(p, _)| p.contains(addr))
+            .map(|(p, v)| (p, v))
+    }
+}
+
 #[test]
 fn routing_table_matches_naive_model() {
     for case in 0..128 {
         let mut rng = case_rng("routing_model", case);
         let mut table = RoutingTable::new();
-        let mut model: Vec<(Ipv4Cidr, u16)> = Vec::new();
-        let routes = rng.range(1, 24);
-        for _ in 0..routes {
-            let len = rng.below(33) as u8;
-            let addr = rng.next_u32();
-            let value = rng.below(65536) as u16;
-            let cidr = Ipv4Cidr::new(Ipv4Address::from_u32(addr), len).network();
-            table.insert(cidr, value);
-            model.retain(|(existing, _)| *existing != cidr);
-            model.push((cidr, value));
-        }
-        let queries = rng.range(1, 32);
-        for _ in 0..queries {
-            let q = Ipv4Address::from_u32(rng.next_u32());
-            let expected = model
-                .iter()
-                .filter(|(cidr, _)| cidr.contains(q))
-                .max_by_key(|(cidr, _)| cidr.prefix_len())
-                .map(|(_, v)| *v);
-            assert_eq!(table.lookup(q).copied(), expected);
+        let mut model = NaiveTable::default();
+        // A small address pool and a few favoured lengths make replaces,
+        // removals of present prefixes and nested matches common.
+        let pool: Vec<u32> = (0..rng.range(2, 24)).map(|_| rng.next_u32()).collect();
+        let prefix = |rng: &mut Rng| {
+            let base = pool[rng.below(pool.len() as u64) as usize];
+            let len = match rng.below(8) {
+                0 => 0,
+                1 => 8,
+                2 => 16,
+                3 | 4 => 24,
+                5 => 32,
+                _ => rng.below(33) as u8,
+            };
+            // Host bits are left set: the table must normalize.
+            Ipv4Cidr::new(Ipv4Address::from_u32(base ^ rng.below(256) as u32), len)
+        };
+        for op in 0..rng.range(1, 160) {
+            match rng.below(100) {
+                0..=49 => {
+                    let (p, v) = (prefix(&mut rng), rng.below(65536) as u16);
+                    assert_eq!(
+                        table.insert(p, v),
+                        model.insert(p, v),
+                        "case {case} op {op}"
+                    );
+                }
+                50..=64 => {
+                    let p = prefix(&mut rng);
+                    assert_eq!(table.remove(&p), model.remove(&p), "case {case} op {op}");
+                }
+                65..=84 => {
+                    let (p, v) = (prefix(&mut rng), rng.below(65536) as u16);
+                    match (table.get_mut(&p), model.get_mut(&p)) {
+                        (Some(got), Some(want)) => {
+                            assert_eq!(*got, *want, "case {case} op {op}");
+                            (*got, *want) = (v, v);
+                        }
+                        (got, want) => assert_eq!(got, want, "case {case} op {op}"),
+                    }
+                }
+                85..=96 => {
+                    let (modulus, keep) = (rng.range(2, 5) as u16, rng.below(2) as u16);
+                    table.retain(|_, v| *v % modulus != keep);
+                    model.0.retain(|(_, v)| *v % modulus != keep);
+                }
+                _ => {
+                    table.clear();
+                    model.0.clear();
+                }
+            }
+            let listed: Vec<(Ipv4Cidr, u16)> = table.iter().map(|(p, v)| (*p, *v)).collect();
+            assert_eq!(listed, model.0, "case {case} op {op}: iter order");
+            assert_eq!(table.len(), model.0.len(), "case {case} op {op}");
+            assert_eq!(table.is_empty(), model.0.is_empty(), "case {case} op {op}");
+            for _ in 0..4 {
+                let p = prefix(&mut rng);
+                assert_eq!(table.get(&p), model.get(&p), "case {case} op {op}: get {p}");
+                let q = match rng.below(2) {
+                    0 => Ipv4Address::from_u32(rng.next_u32()),
+                    _ => p.address(),
+                };
+                assert_eq!(
+                    table.lookup_entry(q),
+                    model.lookup_entry(q),
+                    "case {case} op {op}: lookup {q}"
+                );
+                assert_eq!(table.lookup(q), model.lookup_entry(q).map(|(_, v)| v));
+            }
         }
     }
 }
